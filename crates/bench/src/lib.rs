@@ -1,14 +1,10 @@
-//! Benchmark harnesses for the RMCC reproduction.
+//! Figure harnesses for the RMCC reproduction.
 //!
-//! Every table and figure in the paper's evaluation has a runnable target:
-//!
-//! * `cargo bench -p rmcc-bench` runs Criterion micro-benchmarks (AES,
-//!   clmul, table lookup, …) plus a scaled version of every figure.
-//! * `cargo run --release -p rmcc-bench --bin figures [tiny|small|full] [figNN …]`
-//!   regenerates the figures at a chosen scale and prints the same series
-//!   the paper plots.
-//! * `cargo run --release -p rmcc-bench --bin throughput [tiny|small|full]`
-//!   measures wall-clock hot-path throughput and writes `BENCH_hotpath.json`.
+//! Every table and figure in the paper's evaluation has a figure id:
+//! `cargo run --release -p rmcc-bench --bin figures [tiny|small|full] [figNN …]`
+//! regenerates them at a chosen scale and prints the same series the paper
+//! plots. Wall-clock performance is measured by the repository benchmark
+//! in `perfbench/`, not here.
 //!
 //! Figure harness logic lives in [`rmcc_sim::experiments`]; this crate only
 //! drives it and formats output. Per-workload cells fan out across a
@@ -18,23 +14,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod service;
-pub mod throughput;
-
 use rmcc_sim::experiments::{serving_scenarios, table1, Experiments, Series};
 use rmcc_workloads::workload::Scale;
 
-/// Parses a scale name, defaulting from the `RMCC_SCALE` environment
-/// variable and finally to `tiny`.
+/// Parses a scale name, defaulting to `tiny`.
 ///
 /// Unknown names are an error, not a silent fallback: a typo like `"ful"`
 /// must not quietly run a tiny-scale benchmark and corrupt a comparison.
 pub fn scale_from(arg: Option<&str>) -> Result<Scale, String> {
-    let name = arg
-        .map(str::to_string)
-        .or_else(|| std::env::var("RMCC_SCALE").ok())
-        .unwrap_or_else(|| "tiny".to_string());
-    match name.as_str() {
+    match arg.unwrap_or("tiny") {
         "tiny" => Ok(Scale::Tiny),
         "small" => Ok(Scale::Small),
         "full" => Ok(Scale::Full),
@@ -119,36 +107,6 @@ pub fn run_figure(ex: &Experiments, id: &str) -> Result<Vec<Series>, String> {
     Ok(series)
 }
 
-/// Entry point shared by the per-figure bench targets: builds the context
-/// at the `RMCC_SCALE` env scale (default `tiny` so `cargo bench` stays
-/// affordable; `small`/`full` regenerate publication-scale numbers), runs
-/// one figure, and prints its series.
-pub fn bench_main(id: &str) {
-    let scale = match scale_from(None) {
-        Ok(scale) => scale,
-        Err(err) => {
-            eprintln!("[{id}] {err}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("[{id}] scale = {scale} (set RMCC_SCALE=small|full for paper-scale runs)");
-    let t0 = std::time::Instant::now();
-    let ex = Experiments::new(scale);
-    eprintln!("[{id}] jobs = {} (set RMCC_JOBS=n to override)", ex.jobs());
-    match run_figure(&ex, id) {
-        Ok(series) => {
-            for s in series {
-                println!("{s}");
-            }
-        }
-        Err(err) => {
-            eprintln!("[{id}] {err}");
-            std::process::exit(2);
-        }
-    }
-    eprintln!("[{id}] done in {:.1}s", t0.elapsed().as_secs_f64());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,8 +133,8 @@ mod tests {
     #[test]
     fn every_listed_figure_runs_at_tiny() {
         let ex = Experiments::new(Scale::Tiny);
-        // The cheap, single-config figures; sweeps are covered by their own
-        // bench targets.
+        // The cheap, single-config figures; the sweeps rerun every
+        // workload once per configuration.
         for id in ["table1", "fig03", "fig04", "fig15", "accel", "serving"] {
             assert!(run_figure(&ex, id).is_ok());
         }

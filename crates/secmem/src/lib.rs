@@ -45,8 +45,7 @@ pub use engine::{
 };
 pub use layout::{LayoutError, MetadataLayout, BLOCK_BYTES};
 pub use service::{
-    digest_results, jobs_from_env, serial_reference, Access, AccessResult, HealthConfig,
-    SecureMemoryService, ServiceConfig, ServiceSnapshot, ShardFaultCause, ShardHealth,
-    ShardHealthStats,
+    digest_results, serial_reference, Access, AccessResult, HealthConfig, SecureMemoryService,
+    ServiceConfig, ServiceSnapshot, ShardFaultCause, ShardHealth, ShardHealthStats,
 };
 pub use tree::{InitPolicy, MetadataState, RANDOM_INIT_MEAN};

@@ -374,21 +374,6 @@ impl ServiceConfig {
     }
 }
 
-/// Worker-pool width from the `RMCC_JOBS` environment variable (≥ 1), else
-/// the host's available parallelism. Benchmarks and the sim's service path
-/// share this so one knob pins every pool.
-pub fn jobs_from_env() -> usize {
-    match std::env::var("RMCC_JOBS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&j| j >= 1)
-            .unwrap_or(1),
-        Err(_) => thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
 /// The immutable routing/config snapshot readers clone.
 ///
 /// Snapshots are plain `Copy` data behind an `Arc`; a reader's routing

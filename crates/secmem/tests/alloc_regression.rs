@@ -54,7 +54,7 @@ fn splitmix(z: &mut u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The throughput harness's access mix: random reads and writes over a
+/// A hot-path access mix: random reads and writes over a
 /// fixed working set, including the counter overflows and relevels that
 /// mix provokes.
 fn drive(mem: &mut SecureMemory, blocks: u64, iters: u64, rng: &mut u64) -> u64 {

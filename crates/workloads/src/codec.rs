@@ -683,19 +683,43 @@ mod tests {
 
     #[test]
     fn file_paths_record_and_replay() {
+        use crate::corpus::{KvServingConfig, Scenario};
+
         let dir = std::env::temp_dir();
         let path = dir.join(format!("rmcc-codec-test-{}.rmt", std::process::id()));
-        let mut source: Vec<TraceEvent> = (0..200u64)
+        let strided: Vec<TraceEvent> = (0..200u64)
             .map(|i| ev(i * 64, i % 4 == 0, 0, false))
             .collect();
-        let summary = record_to_path(&path, &mut source).expect("record");
-        assert_eq!(summary.events, 200);
-        let mut reader = reader_from_path(&path).expect("open");
-        let mut replayed: Vec<TraceEvent> = Vec::new();
-        reader.read_to(&mut replayed).expect("replay");
-        assert_eq!(replayed, source);
-        let on_disk = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        assert_eq!(on_disk, summary.total_bytes());
+        // The key-value serving corpus: 64 tenants x 16 keyed regions of
+        // one 128-block counter-coverage group each, 25% writes. Real
+        // serving streams must stay within the 4 bytes/event budget.
+        let kv: Vec<TraceEvent> = Scenario::KvServing(KvServingConfig {
+            tenants: 64,
+            regions_per_tenant: 16,
+            blocks_per_region: 128,
+            hot_blocks_per_region: 8,
+            events: 3_072,
+            write_permille: 250,
+            churn_period: 0,
+            seed: 0x5EC5_7AFF_0000_0001,
+        })
+        .events()
+        .collect();
+        for mut source in [strided, kv] {
+            let summary = record_to_path(&path, &mut source).expect("record");
+            assert_eq!(summary.events, source.len() as u64);
+            assert!(
+                summary.bytes_per_event() <= 4.0,
+                "encoding regressed past 4 bytes/event: {:.2}",
+                summary.bytes_per_event()
+            );
+            let mut reader = reader_from_path(&path).expect("open");
+            let mut replayed: Vec<TraceEvent> = Vec::new();
+            reader.read_to(&mut replayed).expect("replay");
+            assert_eq!(replayed, source);
+            let on_disk = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            assert_eq!(on_disk, summary.total_bytes());
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -55,5 +55,5 @@ fn main() {
         println!();
     }
     println!("RMCC's gap over Morphable is the paper's Figure 13; it widens with");
-    println!("irregularity (BFS) and with AES latency (see the fig17 bench target).");
+    println!("irregularity (BFS) and with AES latency (see `figures tiny fig17`).");
 }

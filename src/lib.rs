@@ -40,7 +40,7 @@
 //! ## Reproducing the paper
 //!
 //! Every table and figure has a harness in `rmcc-bench`
-//! (`cargo bench`, or `cargo run --release -p rmcc-bench --bin figures`);
+//! (`cargo run --release -p rmcc-bench --bin figures [tiny|small|full] [id …]`);
 //! see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured results.
 
