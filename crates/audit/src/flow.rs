@@ -8,8 +8,7 @@
 //!   `drop(g)`) and flags: a guard live across a `spawn` /
 //!   `.submit*` / `thread::scope` boundary or a `move`-closure capture,
 //!   nested lock acquisition while another guard is live (lock-order
-//!   hazard), and — in `secmem`'s `service.rs` — any snapshot mutation
-//!   outside the `*guard = Arc::new(…)` copy-on-write swap seam.
+//!   hazard).
 //! * **R7** bans wall-clock and hasher-randomized constructs
 //!   (`Instant`, `SystemTime`, `UNIX_EPOCH`, `thread::sleep`,
 //!   `RandomState`, `HashMap`/`HashSet`) in the deterministic crates. The
@@ -124,8 +123,6 @@ pub fn check_r7(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 struct Guard {
     /// Binding name.
     name: String,
-    /// Whether the acquisition was a `.write()` (CoW seam rules apply).
-    is_write: bool,
     /// Token index just past the binding statement's `;`.
     live_from: usize,
     /// Token index of the end of the guard's scope (enclosing block close
@@ -140,45 +137,40 @@ struct Guard {
 /// a guard; `.lock().unwrap().clone()` does not).
 const GUARD_PRESERVING: &[&str] = &["unwrap", "expect", "unwrap_or_else", "map_err"];
 
-/// If the initializer token range `[a, b)` acquires a lock and binds the
-/// guard itself, returns whether it was a write acquisition.
-fn acquisition(toks: &[Tok], a: usize, b: usize) -> Option<bool> {
-    let mut j = a;
-    while j < b {
-        let Some((close, is_write)) = acquisition_at(toks, j, b) else {
-            j += 1;
-            continue;
-        };
-        // The rest of the initializer must only unwrap the guard, not
-        // extract a value out of it.
-        let mut k = close + 1;
-        loop {
-            if k >= b {
-                return Some(is_write);
-            }
-            if !toks[k].is_punct(".") {
-                return None;
-            }
-            let m = toks.get(k + 1)?;
-            if m.kind != TokKind::Ident || !GUARD_PRESERVING.contains(&m.text.as_str()) {
-                return None;
-            }
-            toks.get(k + 2).filter(|p| p.is_punct("("))?;
-            let c = model::matching_fwd(toks, k + 2, "(", ")")?;
-            k = c + 1;
+/// Whether the initializer token range `[a, b)` acquires a lock and binds
+/// the guard itself.
+fn acquisition(toks: &[Tok], a: usize, b: usize) -> bool {
+    let Some(close) = (a..b).find_map(|j| acquisition_at(toks, j, b)) else {
+        return false;
+    };
+    // The rest of the initializer must only unwrap the guard, not extract a
+    // value out of it.
+    let mut k = close + 1;
+    while k < b {
+        let unwraps = toks[k].is_punct(".")
+            && toks.get(k + 1).is_some_and(|m| {
+                m.kind == TokKind::Ident && GUARD_PRESERVING.contains(&m.text.as_str())
+            })
+            && toks.get(k + 2).is_some_and(|p| p.is_punct("("));
+        if !unwraps {
+            return false;
+        }
+        match model::matching_fwd(toks, k + 2, "(", ")") {
+            Some(c) => k = c + 1,
+            None => return false,
         }
     }
-    None
+    true
 }
 
-/// If a lock acquisition starts at token `j`, returns `(index of its
-/// closing paren, is_write)`.
+/// If a lock acquisition starts at token `j`, returns the index of its
+/// closing paren.
 ///
 /// Recognized: `.lock()` / `.read()` / `.write()` with *empty* argument
 /// lists (distinguishing `snapshot.read()` from `mem.read(block)`), and
 /// calls to `lock`-named helper functions that return a guard
 /// (`lock(&self.core)`, `lock_mode(&self.mode)`).
-fn acquisition_at(toks: &[Tok], j: usize, hi: usize) -> Option<(usize, bool)> {
+fn acquisition_at(toks: &[Tok], j: usize, hi: usize) -> Option<usize> {
     let t = toks.get(j)?;
     if t.kind != TokKind::Ident {
         return None;
@@ -188,7 +180,7 @@ fn acquisition_at(toks: &[Tok], j: usize, hi: usize) -> Option<(usize, bool)> {
         let open = toks.get(j + 1)?;
         let close = toks.get(j + 2)?;
         if open.is_punct("(") && close.is_punct(")") && j + 2 < hi {
-            return Some((j + 2, t.text == "write"));
+            return Some(j + 2);
         }
         return None;
     }
@@ -198,7 +190,7 @@ fn acquisition_at(toks: &[Tok], j: usize, hi: usize) -> Option<(usize, bool)> {
     {
         let close = model::matching_fwd(toks, j + 1, "(", ")")?;
         if close < hi {
-            return Some((close, false));
+            return Some(close);
         }
     }
     None
@@ -244,7 +236,7 @@ fn guards(toks: &[Tok], f: &FnModel) -> Vec<Guard> {
                 }
             }
         }
-        if let Some(is_write) = acquisition(toks, eq + 1, end) {
+        if acquisition(toks, eq + 1, end) {
             let scope_end = model::enclosing_block_end(toks, i, b0);
             let mut live_to = scope_end.min(b1);
             // An explicit `drop(name)` ends the live range early.
@@ -262,7 +254,6 @@ fn guards(toks: &[Tok], f: &FnModel) -> Vec<Guard> {
             }
             out.push(Guard {
                 name: name_tok.text.clone(),
-                is_write,
                 live_from: end + 1,
                 live_to,
                 line: toks[i].line,
@@ -276,7 +267,6 @@ fn guards(toks: &[Tok], f: &FnModel) -> Vec<Guard> {
 /// R6 — concurrency discipline on the service layer.
 pub fn check_r6(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let toks = ctx.tokens;
-    let cow_seam = ctx.crate_name == "secmem" && ctx.rel.ends_with("service.rs");
     let mut hits: BTreeSet<(u32, String)> = BTreeSet::new();
 
     for f in model::functions(toks) {
@@ -335,62 +325,6 @@ pub fn check_r6(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                         ),
                     ));
                 }
-                // CoW seam: writes through the snapshot write guard must be
-                // whole-`Arc` swaps.
-                if cow_seam && g.is_write && t.is_ident(&g.name) {
-                    // `*name = EXPR` — legal only as `*name = Arc::new(…)`.
-                    if i > 0
-                        && toks[i - 1].is_punct("*")
-                        && matches!(toks.get(i + 1), Some(n) if n.is_punct("="))
-                    {
-                        let swap = matches!(toks.get(i + 2), Some(a) if a.is_ident("Arc"))
-                            && matches!(toks.get(i + 3), Some(c) if c.is_punct("::"))
-                            && matches!(toks.get(i + 4), Some(n) if n.is_ident("new"));
-                        if !swap {
-                            hits.insert((
-                                t.line,
-                                format!(
-                                    "snapshot write through guard `{}` outside the `Arc::new` copy-on-write swap",
-                                    g.name
-                                ),
-                            ));
-                        }
-                    }
-                    // `name.field = …` — in-place mutation through the guard.
-                    if matches!(toks.get(i + 1), Some(d) if d.is_punct("."))
-                        && matches!(toks.get(i + 2), Some(fld) if fld.kind == TokKind::Ident)
-                        && matches!(toks.get(i + 3), Some(eq) if eq.is_punct("="))
-                    {
-                        hits.insert((
-                            t.line,
-                            format!(
-                                "field mutation through write guard `{}` (build a new snapshot and swap it)",
-                                g.name
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // CoW seam, file-wide: in-place mutation of a shared `Arc` snapshot.
-    if cow_seam {
-        for i in 0..toks.len() {
-            if !ctx.included[i] {
-                continue;
-            }
-            if toks[i].is_ident("Arc")
-                && matches!(toks.get(i + 1), Some(c) if c.is_punct("::"))
-                && matches!(toks.get(i + 2), Some(m) if m.is_ident("get_mut") || m.is_ident("make_mut"))
-            {
-                hits.insert((
-                    toks[i].line,
-                    format!(
-                        "`Arc::{}` mutates a shared snapshot in place (swap a fresh `Arc` through the write guard instead)",
-                        toks[i + 2].text
-                    ),
-                ));
             }
         }
     }
@@ -475,18 +409,6 @@ mod tests {
     fn r6_value_extracted_from_temporary_guard_is_clean() {
         let src = "fn f(s: &S) -> u64 {\n    let v = s.state.lock().unwrap_or_else(x).value;\n    std::thread::spawn(|| work());\n    v\n}\n";
         assert!(rule("crates/secmem/src/worker.rs", "secmem", src, Rule::R6).is_empty());
-    }
-
-    #[test]
-    fn r6_cow_seam_allows_arc_swap_only() {
-        let ok = "fn set(s: &S) {\n    let mut guard = s.snapshot.write().unwrap_or_else(x);\n    *guard = Arc::new(next);\n}\n";
-        assert!(rule("crates/secmem/src/service.rs", "secmem", ok, Rule::R6).is_empty());
-        let bad = "fn set(s: &S) {\n    let mut guard = s.snapshot.write().unwrap_or_else(x);\n    guard.version = 3;\n}\n";
-        let f = rule("crates/secmem/src/service.rs", "secmem", bad, Rule::R6);
-        assert!(
-            f.iter().any(|x| x.message.contains("field mutation")),
-            "{f:?}"
-        );
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub enum Rule {
     /// Secret-taint leakage: dataflow from secret sources into indices,
     /// lookups, branches, or leaky callees (crypto + secmem).
     R5,
-    /// Concurrency discipline: guards across thread boundaries, nested
-    /// acquisition, CoW-seam violations (service layer).
+    /// Concurrency discipline: guards across thread boundaries and nested
+    /// acquisition (service layer).
     R6,
     /// Determinism contract: no wall clock, sleeps, or hasher-randomized
     /// containers in the deterministic crates.

@@ -77,7 +77,7 @@ fn main() -> ExitCode {
                     "  R4  crate roots pin #![forbid(unsafe_code)] and #![deny(missing_docs)]"
                 );
                 println!("  R5  dataflow leakage in crypto/secmem (taint from secrets into indices/branches)");
-                println!("  R6  lock discipline on the service layer (guards across spawn/submit, CoW seam)");
+                println!("  R6  lock discipline on the service layer (guards across spawn/submit, nested acquisition)");
                 println!(
                     "  R7  determinism contract (no wall clock or hasher-randomized containers)"
                 );

@@ -17,7 +17,7 @@
 //!   schedule. Its data-dependent table access is the documented
 //!   cache-timing tradeoff of any table-based software AES (DESIGN.md §8).
 //! * [`Backend::Hardened`] runs the bitsliced constant-time circuit in
-//!   [`crate::bitslice`]: 8 blocks per invocation through pure plane
+//!   the private `bitslice` module: 8 blocks per invocation through pure plane
 //!   logic, no secret-indexed loads and no secret-dependent branches
 //!   anywhere (key schedule included). Slower per block, immune to the
 //!   cache-timing channel, and ~8× wider per call (see DESIGN.md §13).
@@ -219,7 +219,7 @@ pub enum Backend {
     /// textbook data-dependent table access (DESIGN.md §8).
     #[default]
     Fast,
-    /// Bitsliced constant-time circuit ([`crate::bitslice`]): 8 blocks
+    /// Bitsliced constant-time circuit (the private `bitslice` module): 8 blocks
     /// per call, no secret-indexed loads or secret-dependent branches
     /// anywhere — the module carries zero `audit:allow(R5)` waivers.
     Hardened,

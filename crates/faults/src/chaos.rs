@@ -170,6 +170,32 @@ impl ChaosFaultClass {
     }
 }
 
+/// Mixed warm-up batches before each injection.
+const WARM_BATCHES: usize = 2;
+/// Mixed batches driven while the fault is live (the campaign breaks out
+/// early once the victim is quarantined).
+const PRESSURE_BATCHES: usize = 4;
+/// Cap on read-only recovery batches while waiting for readmission.
+const RECOVERY_BATCHES_CAP: usize = 12;
+/// Mixed verification batches after replay.
+const VERIFY_BATCHES: usize = 2;
+/// Accesses per mixed batch (before the victim-targeted head/tail). The
+/// batch counts above are sized so every class quarantines, rebuilds, and
+/// readmits well inside the caps.
+const BATCH_LEN: usize = 48;
+
+/// The health thresholds the campaign runs under: short 64-access windows
+/// and a hair-trigger breaker (`quarantine_faults: 1`) so a faulted shard is
+/// quarantined before any degraded-mode write could make its counters
+/// diverge from the control twin's.
+const CAMPAIGN_HEALTH: HealthConfig = HealthConfig {
+    epoch_accesses: 64,
+    degrade_faults: 1,
+    quarantine_faults: 1,
+    recover_epochs: 1,
+    quarantine_epochs: 1,
+};
+
 /// Campaign shape. Everything is counted (batches, accesses); nothing is
 /// timed, so the whole run is a pure function of the seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,45 +204,14 @@ pub struct ChaosConfig {
     pub shards: usize,
     /// Master seed for load generation.
     pub seed: u64,
-    /// Mixed warm-up batches before each injection.
-    pub warm_batches: usize,
-    /// Mixed batches driven while the fault is live (the campaign breaks
-    /// out early once the victim is quarantined).
-    pub pressure_batches: usize,
-    /// Cap on read-only recovery batches while waiting for readmission.
-    pub recovery_batches_cap: usize,
-    /// Mixed verification batches after replay.
-    pub verify_batches: usize,
-    /// Accesses per mixed batch (before the victim-targeted head/tail).
-    pub batch_len: usize,
 }
 
 impl ChaosConfig {
-    /// Defaults sized so every class quarantines, rebuilds, and readmits
-    /// well inside the caps.
+    /// A campaign over `shards` shards (clamped to ≥ 1) seeded by `seed`.
     pub fn new(shards: usize, seed: u64) -> Self {
         ChaosConfig {
             shards: shards.max(1),
             seed,
-            warm_batches: 2,
-            pressure_batches: 4,
-            recovery_batches_cap: 12,
-            verify_batches: 2,
-            batch_len: 48,
-        }
-    }
-
-    /// The health thresholds the campaign runs under: short 64-access
-    /// windows and a hair-trigger breaker (`quarantine_faults: 1`) so a
-    /// faulted shard is quarantined before any degraded-mode write could
-    /// make its counters diverge from the control twin's.
-    pub fn health(&self) -> HealthConfig {
-        HealthConfig {
-            epoch_accesses: 64,
-            degrade_faults: 1,
-            quarantine_faults: 1,
-            recover_epochs: 1,
-            quarantine_epochs: 1,
         }
     }
 }
@@ -324,7 +319,7 @@ impl ChaosServiceHarness {
             m.budget_fraction = 0.5;
             m
         };
-        let svc_cfg = ServiceConfig::new(cfg.shards, 1 << 26).with_health(cfg.health());
+        let svc_cfg = ServiceConfig::new(cfg.shards, 1 << 26).with_health(CAMPAIGN_HEALTH);
         let fuses: Vec<ChaosFuse> = (0..cfg.shards).map(|_| ChaosFuse::new()).collect();
         let mut handles = Vec::with_capacity(cfg.shards);
         let faulted = {
@@ -447,7 +442,7 @@ pub fn run_chaos_campaign(cfg: &ChaosConfig) -> ChaosReport {
     let mut outcomes = Vec::new();
     for (i, class) in ChaosFaultClass::ALL.iter().copied().enumerate() {
         let victim = i % cfg.shards.max(1);
-        outcomes.push(run_class(&mut h, cfg, class, victim));
+        outcomes.push(run_class(&mut h, class, victim));
     }
 
     let shards = cfg.shards.max(1);
@@ -463,18 +458,13 @@ pub fn run_chaos_campaign(cfg: &ChaosConfig) -> ChaosReport {
 
 /// Injects one class on `victim` and drives it through pressure, recovery,
 /// replay, and verification.
-fn run_class(
-    h: &mut ChaosServiceHarness,
-    cfg: &ChaosConfig,
-    class: ChaosFaultClass,
-    victim: usize,
-) -> ClassOutcome {
+fn run_class(h: &mut ChaosServiceHarness, class: ChaosFaultClass, victim: usize) -> ClassOutcome {
     let victim_block = h.victim_block(victim);
 
     // Warm: twins must agree entry for entry before the fault.
     let mut containment_ok = true;
-    for _ in 0..cfg.warm_batches {
-        let batch = h.mixed_batch(cfg.batch_len);
+    for _ in 0..WARM_BATCHES {
+        let batch = h.mixed_batch(BATCH_LEN);
         let (f, c) = h.drive(&batch);
         containment_ok &= f == c;
     }
@@ -528,11 +518,11 @@ fn run_class(
     let mut replay_queue: Vec<Access> = Vec::new();
     let mut quarantined = false;
     let snap = h.faulted.snapshot();
-    for round in 0..cfg.pressure_batches {
+    for round in 0..PRESSURE_BATCHES {
         let mut batch = vec![Access::Read {
             block: victim_block,
         }];
-        batch.extend(h.mixed_batch(cfg.batch_len));
+        batch.extend(h.mixed_batch(BATCH_LEN));
         batch.push(Access::Write {
             block: victim_block,
             data: [0xB0 ^ round as u8; 64],
@@ -572,7 +562,7 @@ fn run_class(
             .collect()
     };
     let mut recovered = h.faulted.health(victim) == Some(ShardHealth::Healthy);
-    for _ in 0..cfg.recovery_batches_cap {
+    for _ in 0..RECOVERY_BATCHES_CAP {
         if recovered {
             break;
         }
@@ -593,8 +583,8 @@ fn run_class(
     // Verify: twins must agree entry for entry and state digest for state
     // digest again.
     let mut twin_identical = replay_ok;
-    for _ in 0..cfg.verify_batches {
-        let batch = h.mixed_batch(cfg.batch_len);
+    for _ in 0..VERIFY_BATCHES {
+        let batch = h.mixed_batch(BATCH_LEN);
         let (f, c) = h.drive(&batch);
         twin_identical &= f == c;
     }

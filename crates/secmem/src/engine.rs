@@ -420,7 +420,7 @@ impl SecureMemory {
     ///
     /// This is a pure wall-clock accelerator and deliberately bypasses
     /// the modeled crypto tally: architecturally the MC still issues one
-    /// pipeline invocation per access, and [`Self::pads_for`] charges it
+    /// pipeline invocation per access, and the private `pads_for` charges it
     /// at request time whether the memo was warmed or not. Results are
     /// bit-identical with or without prefetching.
     pub fn prefetch_pads<I>(&mut self, blocks: I)

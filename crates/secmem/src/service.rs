@@ -1,5 +1,6 @@
-//! Multi-tenant sharded secure-memory service: lock-free config reads and a
-//! batched access API over the single-owner [`SecureMemory`] engine.
+//! Multi-tenant sharded secure-memory service: fixed region-preserving
+//! routing and a batched access API over the single-owner [`SecureMemory`]
+//! engine.
 //!
 //! The engine in [`crate::engine`] is deliberately a one-tenant `&mut`
 //! structure — the shape the paper evaluates. Serving aggregate traffic from
@@ -19,22 +20,20 @@
 //!   mechanic — and therefore every stored ciphertext and counter — exactly
 //!   what a single serial engine would produce. See
 //!   [`ServiceSnapshot::shard_of`].
-//! * **Lock-free read path for routing/config.** The routing table and
-//!   tunables live in an immutable [`ServiceSnapshot`] behind
-//!   `RwLock<Arc<_>>`: readers clone the `Arc` (a reference-count bump, no
-//!   exclusive lock, never blocked by shard mutation) and route from their
-//!   private snapshot. Reconfiguration ([`SecureMemoryService::set_jobs`])
-//!   builds a *new* snapshot and swaps the `Arc` copy-on-write; in-flight
-//!   batches keep the snapshot they started with.
-//! * **Batched API.** [`SecureMemoryService::submit`] partitions a batch by
-//!   shard, drives the shards concurrently on a scoped-thread pool (width
-//!   from the snapshot's `jobs`, overridable per call), and merges per-shard
-//!   results back in submission order. Per-shard order is submission order,
-//!   and shards are independent, so batched output is **byte-identical** to
-//!   running the same batch serially — at any worker width. Failures are
-//!   surfaced per entry as typed [`AccessResult`] variants; one bad access
-//!   (or even a panicking shard, isolated via `catch_unwind`) never fails
-//!   the whole batch.
+//! * **Routing fixed at construction.** Shard count and counter coverage
+//!   never change after [`SecureMemoryService::with_policies`] returns
+//!   (changing them would require migrating stored state between shards),
+//!   so routing lives in a plain `Copy` [`ServiceSnapshot`] built once.
+//!   [`SecureMemoryService::snapshot`] hands out a copy; no lock guards it.
+//! * **Batched API.** [`SecureMemoryService::submit_with_jobs`] partitions a
+//!   batch by shard, drives the shards concurrently on a scoped-thread pool
+//!   of the given width, and merges per-shard results back in submission
+//!   order; [`SecureMemoryService::submit`] is the width-1 call. Per-shard
+//!   order is submission order, and shards are independent, so batched
+//!   output is **byte-identical** to running the same batch serially — at
+//!   any worker width. Failures are surfaced per entry as typed
+//!   [`AccessResult`] variants; one bad access (or even a panicking shard,
+//!   isolated via `catch_unwind`) never fails the whole batch.
 //! * **Per-shard health lifecycle (opt-in).** A service built with a
 //!   [`HealthConfig`] runs a deterministic circuit breaker per shard:
 //!   `Healthy → Degraded → Quarantined → Rebuilding → Healthy`, every
@@ -48,7 +47,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 use rmcc_crypto::aes::Backend;
@@ -308,8 +307,19 @@ pub struct ShardHealthStats {
     pub unrecoverable_blocks: u64,
 }
 
+/// Counter organization of every shard: the paper's Morphable counters.
+pub const SHARD_ORG: CounterOrg = CounterOrg::Morphable128;
+
+/// OTP pipeline of every shard: the RMCC split pipeline.
+const SHARD_PIPELINE: PipelineKind = PipelineKind::Rmcc;
+
+/// Key-derivation seed; all shards share it so stored ciphertexts match the
+/// single-engine reference exactly.
+const SHARD_KEY_SEED: u64 = 0x0005_EED0_0F5E_C3E7;
+
 /// How to build a [`SecureMemoryService`]. Two equal configs (plus equal
-/// policy factories) build services with byte-identical behavior.
+/// policy factories) build services with byte-identical behavior. Every
+/// shard uses [`SHARD_ORG`], the RMCC pipeline and one fixed key seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Number of independent shards (clamped to ≥ 1).
@@ -318,16 +328,6 @@ pub struct ServiceConfig {
     /// address space (the arenas are sparse, so untouched regions cost
     /// nothing) and routing decides ownership.
     pub data_bytes: u64,
-    /// Counter organization for every shard.
-    pub org: CounterOrg,
-    /// OTP pipeline kind for every shard.
-    pub pipeline: PipelineKind,
-    /// Key-derivation seed; all shards share it so stored ciphertexts match
-    /// the single-engine reference exactly.
-    pub key_seed: u64,
-    /// Default worker-pool width for [`SecureMemoryService::submit`]
-    /// (clamped to ≥ 1; tunable later via copy-on-write reconfiguration).
-    pub jobs: usize,
     /// Per-shard health lifecycle thresholds. `None` (the default) disables
     /// health monitoring entirely: no state machine, no degraded routing,
     /// no write rejection — byte-identical to the pre-lifecycle service.
@@ -339,25 +339,15 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with the paper's defaults: Morphable counters, the RMCC
-    /// split pipeline, and a serial (1-wide) submit pool.
+    /// A config with health monitoring off and the `RMCC_BACKEND`
+    /// environment's AES backend.
     pub fn new(shards: usize, data_bytes: u64) -> Self {
         ServiceConfig {
             shards,
             data_bytes,
-            org: CounterOrg::Morphable128,
-            pipeline: PipelineKind::Rmcc,
-            key_seed: 0x0005_EED0_0F5E_C3E7,
-            jobs: 1,
             health: None,
             backend: Backend::from_env(),
         }
-    }
-
-    /// The same config with a different default pool width.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
     }
 
     /// The same config with an explicitly pinned AES backend (instead of
@@ -374,20 +364,12 @@ impl ServiceConfig {
     }
 }
 
-/// The immutable routing/config snapshot readers clone.
-///
-/// Snapshots are plain `Copy` data behind an `Arc`; a reader's routing
-/// decisions stay coherent for the lifetime of its clone even across a
-/// concurrent [`SecureMemoryService::set_jobs`] swap. Topology (`shards`,
-/// `coverage`) never changes after construction — changing it would require
-/// migrating stored state between shards, which is out of scope here — so
-/// routing is stable across every snapshot version.
+/// The routing snapshot: shard count and counter coverage, fixed when the
+/// service is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     shards: usize,
     coverage: u64,
-    jobs: usize,
-    version: u64,
 }
 
 impl ServiceSnapshot {
@@ -413,16 +395,6 @@ impl ServiceSnapshot {
     /// Blocks per L0 region (the counter organization's coverage).
     pub fn coverage(&self) -> u64 {
         self.coverage
-    }
-
-    /// Default worker-pool width for `submit`.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Monotone version, bumped by every copy-on-write reconfiguration.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 }
 
@@ -609,9 +581,10 @@ impl ShardState {
 
 /// A concurrent, sharded front end over N independent [`SecureMemory`]
 /// engines. See the [module docs](self) for the architecture; see
-/// [`Self::submit`] for the batched API and its determinism contract.
+/// [`Self::submit_with_jobs`] for the batched API and its determinism
+/// contract.
 pub struct SecureMemoryService {
-    snapshot: RwLock<Arc<ServiceSnapshot>>,
+    snapshot: ServiceSnapshot,
     shards: Vec<Mutex<ShardState>>,
 }
 
@@ -636,18 +609,16 @@ impl SecureMemoryService {
         let shards = cfg.shards.max(1);
         let snapshot = ServiceSnapshot {
             shards,
-            coverage: cfg.org.coverage() as u64,
-            jobs: cfg.jobs.max(1),
-            version: 0,
+            coverage: SHARD_ORG.coverage() as u64,
         };
         let shard_states = (0..shards)
             .map(|i| {
                 Mutex::new(ShardState {
                     mem: SecureMemory::with_policy_on(
-                        cfg.org,
+                        SHARD_ORG,
                         cfg.data_bytes,
-                        cfg.pipeline,
-                        cfg.key_seed,
+                        SHARD_PIPELINE,
+                        SHARD_KEY_SEED,
                         policy_for(i),
                         cfg.backend,
                     ),
@@ -657,59 +628,33 @@ impl SecureMemoryService {
             })
             .collect();
         SecureMemoryService {
-            snapshot: RwLock::new(Arc::new(snapshot)),
+            snapshot,
             shards: shard_states,
         }
     }
 
-    /// Clones the current routing/config snapshot — the lock-free read
-    /// path. This never blocks on shard mutation and a writer holds the
-    /// `RwLock` only for the duration of an `Arc` pointer swap.
-    pub fn snapshot(&self) -> Arc<ServiceSnapshot> {
-        Arc::clone(&self.snapshot.read().unwrap_or_else(PoisonError::into_inner))
+    /// The routing snapshot, fixed at construction.
+    pub fn snapshot(&self) -> ServiceSnapshot {
+        self.snapshot
     }
 
-    /// Copy-on-write reconfiguration of the default pool width: builds a
-    /// new snapshot with a bumped version and swaps the `Arc`. Readers that
-    /// cloned the old snapshot keep routing from it undisturbed. Returns
-    /// the new version.
-    pub fn set_jobs(&self, jobs: usize) -> u64 {
-        let mut guard = self
-            .snapshot
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let next = ServiceSnapshot {
-            jobs: jobs.max(1),
-            version: guard.version.saturating_add(1),
-            ..**guard
-        };
-        *guard = Arc::new(next);
-        guard.version
+    /// Services a batch in the caller's thread: [`Self::submit_with_jobs`]
+    /// at width 1.
+    pub fn submit(&self, batch: &[Access]) -> Vec<AccessResult> {
+        self.submit_with_jobs(batch, 1)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Services a batch: partitions by shard, drives shards concurrently at
-    /// the snapshot's pool width, merges results in submission order.
+    /// Services a batch: partitions by shard, drives shards concurrently on
+    /// `jobs` workers (1 = in-caller-thread serial), merges results in
+    /// submission order.
     ///
     /// **Determinism contract:** per-shard sub-batches preserve submission
     /// order and shards share no mutable state, so the returned vector is
-    /// byte-identical to [`Self::submit_serial`] on the same service at any
-    /// worker width — and, for a service built with [`Self::new`], to a
-    /// plain serial [`SecureMemory`] over the same batch (see
-    /// [`serial_reference`]).
-    pub fn submit(&self, batch: &[Access]) -> Vec<AccessResult> {
-        let jobs = self.snapshot().jobs();
-        self.submit_with_jobs(batch, jobs)
-    }
-
-    /// [`Self::submit`] with an explicit worker width (1 = in-caller-thread
-    /// serial; the CI determinism smoke compares widths through this).
+    /// byte-identical at any worker width — and, for a service built with
+    /// [`Self::new`], to a plain serial [`SecureMemory`] over the same batch
+    /// (see [`serial_reference`]).
     pub fn submit_with_jobs(&self, batch: &[Access], jobs: usize) -> Vec<AccessResult> {
-        let snap = self.snapshot();
+        let snap = self.snapshot;
         let mut parts: Vec<Vec<usize>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (i, access) in batch.iter().enumerate() {
             if let Some(part) = parts.get_mut(snap.shard_of(access.block())) {
@@ -764,12 +709,6 @@ impl SecureMemoryService {
             }
         }
         merged
-    }
-
-    /// Services a batch with no thread pool at all — the reference path the
-    /// determinism tests compare against.
-    pub fn submit_serial(&self, batch: &[Access]) -> Vec<AccessResult> {
-        self.submit_with_jobs(batch, 1)
     }
 
     /// Runs one shard's sub-batch under its lock, isolating panics per
@@ -1033,8 +972,7 @@ fn scatter(merged: &mut [AccessResult], indices: &[usize], results: &[AccessResu
 /// the ground-truth reference the sharded service must match byte for byte
 /// (for increment-policy services).
 pub fn serial_reference(cfg: &ServiceConfig, batch: &[Access]) -> Vec<AccessResult> {
-    let mut mem = SecureMemory::new(cfg.org, cfg.data_bytes, cfg.pipeline, cfg.key_seed);
-    // audit:allow(R5, reason = "differential-test harness: `mem` is tainted via key_seed, but apply branches only on public access outcomes")
+    let mut mem = SecureMemory::new(SHARD_ORG, cfg.data_bytes, SHARD_PIPELINE, SHARD_KEY_SEED);
     batch.iter().map(|a| apply(&mut mem, a, false)).collect()
 }
 
@@ -1049,6 +987,7 @@ fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn block_of(tag: u8) -> DataBlock {
         let mut b = [0u8; 64];
@@ -1059,8 +998,8 @@ mod tests {
 
     /// A mixed batch: writes, read-backs, an unwritten read, and an
     /// out-of-capacity write, across many regions.
-    fn mixed_batch(cfg: &ServiceConfig) -> Vec<Access> {
-        let coverage = cfg.org.coverage() as u64;
+    fn mixed_batch() -> Vec<Access> {
+        let coverage = SHARD_ORG.coverage() as u64;
         let mut batch = Vec::new();
         for r in 0..24u64 {
             let block = r * coverage + (r % coverage);
@@ -1105,7 +1044,7 @@ mod tests {
         // architectural digest must match bit for bit — the backend may
         // only change the timing profile, never stored state.
         let base = ServiceConfig::new(3, 1 << 24);
-        let batch = mixed_batch(&base);
+        let batch = mixed_batch();
         let runs: Vec<(Vec<AccessResult>, u64, Vec<u64>)> = [Backend::Fast, Backend::Hardened]
             .into_iter()
             .map(|backend| {
@@ -1123,7 +1062,7 @@ mod tests {
     #[test]
     fn submit_matches_serial_engine_across_shard_counts_and_widths() {
         let base = ServiceConfig::new(1, 1 << 24);
-        let batch = mixed_batch(&base);
+        let batch = mixed_batch();
         let reference = serial_reference(&base, &batch);
         assert!(reference.iter().any(|r| matches!(r, AccessResult::Data(_))));
         assert!(reference
@@ -1133,31 +1072,12 @@ mod tests {
             .iter()
             .any(|r| matches!(r, AccessResult::WriteFailed(WriteError::Layout(_)))));
         for shards in [1usize, 2, 3, 8] {
-            let svc = SecureMemoryService::new(&ServiceConfig::new(shards, 1 << 24));
             for jobs in [1usize, 4] {
                 let fresh = SecureMemoryService::new(&ServiceConfig::new(shards, 1 << 24));
                 let got = fresh.submit_with_jobs(&batch, jobs);
                 assert_eq!(got, reference, "shards={shards} jobs={jobs}");
                 assert_eq!(digest_results(&got), digest_results(&reference));
             }
-            drop(svc);
-        }
-    }
-
-    #[test]
-    fn cow_reconfiguration_leaves_old_snapshots_routing() {
-        let svc = SecureMemoryService::new(&ServiceConfig::new(4, 1 << 24).with_jobs(2));
-        let old = svc.snapshot();
-        assert_eq!(old.jobs(), 2);
-        let v = svc.set_jobs(7);
-        assert_eq!(v, 1);
-        let new = svc.snapshot();
-        assert_eq!(new.jobs(), 7);
-        assert_eq!(new.version(), 1);
-        // The old snapshot is untouched and still routes identically.
-        assert_eq!(old.jobs(), 2);
-        for block in 0..512u64 {
-            assert_eq!(old.shard_of(block), new.shard_of(block));
         }
     }
 
@@ -1172,7 +1092,7 @@ mod tests {
             Access::Read { block: 123 }, // unwritten
             Access::Read { block: 0 },
         ];
-        let results = svc.submit_serial(&batch);
+        let results = svc.submit(&batch);
         assert!(matches!(results[0], AccessResult::Written { counter: 1 }));
         assert_eq!(
             results[1],
@@ -1262,13 +1182,13 @@ mod tests {
     fn tamper_faults_degrade_then_clean_windows_recover() {
         let cfg = ServiceConfig::new(1, 1 << 20).with_health(tight_health());
         let svc = SecureMemoryService::new(&cfg);
-        svc.submit_serial(&[Access::Write {
+        svc.submit(&[Access::Write {
             block: 0,
             data: block_of(1),
         }]);
         svc.with_shard(0, |mem| mem.tamper_data(0, 3, 0x80).unwrap());
         // Two tamper-detected reads in one window: Healthy → Degraded.
-        let r = svc.submit_serial(&[Access::Read { block: 0 }, Access::Read { block: 0 }]);
+        let r = svc.submit(&[Access::Read { block: 0 }, Access::Read { block: 0 }]);
         assert!(matches!(
             r[0],
             AccessResult::ReadFailed(ReadError::DataTampered { .. })
@@ -1276,7 +1196,7 @@ mod tests {
         assert_eq!(svc.health(0), Some(ShardHealth::Degraded));
         // A degraded write still serves (full-AES baseline) and heals the
         // tampered block.
-        let r = svc.submit_serial(&[
+        let r = svc.submit(&[
             Access::Write {
                 block: 0,
                 data: block_of(2),
@@ -1291,7 +1211,7 @@ mod tests {
         assert_eq!(stats.faults, 2);
         // Two consecutive clean windows readmit the shard.
         let reads: Vec<Access> = (0..8).map(|_| Access::Read { block: 0 }).collect();
-        svc.submit_serial(&reads);
+        svc.submit(&reads);
         assert_eq!(svc.health(0), Some(ShardHealth::Healthy));
         assert_eq!(svc.health_stats(0).unwrap().degrades, 1, "no flapping");
     }
@@ -1334,12 +1254,12 @@ mod tests {
             block: 0,
             data: block_of(7),
         };
-        svc.submit_serial(&[w0]);
-        twin.submit_serial(&[w0]);
+        svc.submit(&[w0]);
+        twin.submit(&[w0]);
 
         // Saturated write: typed error, immediate quarantine, no mutation.
         fuse.store(true, Ordering::Relaxed);
-        let r = svc.submit_serial(&[w0]);
+        let r = svc.submit(&[w0]);
         assert!(matches!(
             r[0],
             AccessResult::WriteFailed(WriteError::CounterSaturated { .. })
@@ -1347,7 +1267,7 @@ mod tests {
         assert_eq!(svc.health(0), Some(ShardHealth::Quarantined));
 
         // Quarantined: writes rejected with the typed cause, reads served.
-        let r = svc.submit_serial(&[w0, Access::Read { block: 0 }]);
+        let r = svc.submit(&[w0, Access::Read { block: 0 }]);
         assert_eq!(
             r[0],
             AccessResult::ShardFault {
@@ -1359,7 +1279,7 @@ mod tests {
         // That read was access 4: the window rolled, and one quarantine
         // epoch elapsed → Rebuilding.
         assert_eq!(svc.health(0), Some(ShardHealth::Rebuilding));
-        let r = svc.submit_serial(&[w0]);
+        let r = svc.submit(&[w0]);
         assert_eq!(
             r[0],
             AccessResult::ShardFault {
@@ -1369,7 +1289,7 @@ mod tests {
         );
         // Fill the window with reads; the boundary runs the rebuild pass.
         let reads: Vec<Access> = (0..3).map(|_| Access::Read { block: 0 }).collect();
-        svc.submit_serial(&reads);
+        svc.submit(&reads);
         assert_eq!(svc.health(0), Some(ShardHealth::Healthy));
         let stats = svc.health_stats(0).unwrap();
         assert_eq!(stats.quarantines, 1);
@@ -1383,11 +1303,8 @@ mod tests {
             block: 0,
             data: block_of(8),
         };
-        assert!(matches!(
-            svc.submit_serial(&[w2])[0],
-            AccessResult::Written { .. }
-        ));
-        twin.submit_serial(&[w2]);
+        assert!(matches!(svc.submit(&[w2])[0], AccessResult::Written { .. }));
+        twin.submit(&[w2]);
         assert_eq!(
             svc.shard_state_digest(0),
             twin.shard_state_digest(0),
@@ -1403,9 +1320,9 @@ mod tests {
             block: 5,
             data: block_of(3),
         };
-        svc.submit_serial(&[w]);
+        svc.submit(&[w]);
         assert!(svc.force_quarantine(0));
-        let r = svc.submit_serial(&[w]);
+        let r = svc.submit(&[w]);
         assert_eq!(
             r[0],
             AccessResult::ShardFault {
@@ -1417,10 +1334,7 @@ mod tests {
         assert!(report.is_clean());
         assert!(report.data_verified >= 1);
         assert_eq!(svc.health(0), Some(ShardHealth::Healthy));
-        assert!(matches!(
-            svc.submit_serial(&[w])[0],
-            AccessResult::Written { .. }
-        ));
+        assert!(matches!(svc.submit(&[w])[0], AccessResult::Written { .. }));
         let stats = svc.health_stats(0).unwrap();
         assert_eq!(stats.quarantines, 1);
         assert_eq!(stats.rebuilds, 1);

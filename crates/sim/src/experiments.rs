@@ -6,12 +6,13 @@
 //! these into runnable targets; EXPERIMENTS.md records paper-vs-measured.
 //!
 //! Every per-workload figure fans its independent (workload, scheme) cells
-//! across a scoped-thread worker pool ([`Experiments::per_workload`]'s
-//! internals): simulations for different workloads share nothing, so they
-//! run concurrently, while rows are committed in `Workload::ALL` order —
-//! output is byte-identical to a serial run. The pool width defaults to the
-//! host's available parallelism and can be pinned with the `RMCC_JOBS`
-//! environment variable (or [`Experiments::with_jobs`]).
+//! across a scoped-thread worker pool (the internals of the private
+//! `Experiments::per_workload`): simulations for different workloads share
+//! nothing, so they run concurrently, while rows are committed in
+//! `Workload::ALL` order — output is byte-identical to a serial run. The
+//! pool width defaults to the host's available parallelism and can be
+//! pinned with the `RMCC_JOBS` environment variable (or
+//! [`Experiments::with_jobs`]).
 //!
 //! Each cell runs under `catch_unwind`, so a panicking workload poisons only
 //! its own row: the [`Series`] records it as a [`CellFailure`] (the row
@@ -751,7 +752,7 @@ pub fn table1() -> String {
 /// conformance, memoization hit rate on lookups, the fallback share, and
 /// the per-shard budget actually spent.
 pub fn serving_scenarios() -> Series {
-    use crate::service_run::{run_service, ServiceRunConfig};
+    use crate::service_run::{run_service, ServingScenario};
     let mut s = Series::new(
         "Serving scenarios (small 4-shard service runs)",
         &[
@@ -761,13 +762,9 @@ pub fn serving_scenarios() -> Series {
             "budget spent",
         ],
     );
-    for cfg in [
-        ServiceRunConfig::small(),
-        ServiceRunConfig::phase_small(),
-        ServiceRunConfig::adversarial_small(),
-    ] {
-        let name = cfg.corpus_scenario().name();
-        let r = run_service(&cfg);
+    for scenario in ServingScenario::ALL {
+        let name = scenario.corpus_scenario().name();
+        let r = run_service(scenario);
         let a = &r.aggregate;
         let writes = (a.conformed_writes + a.baseline_writes).max(1) as f64;
         let hits = a.table.group_hits + a.table.mru_hits;

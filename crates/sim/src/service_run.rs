@@ -4,32 +4,29 @@
 //!
 //! This is [`crate::dynamics`]'s sibling for the concurrent stack: where
 //! `run_dynamics` drives a single-owner [`crate::meta_engine::MetaEngine`],
-//! `run_service` builds an N-shard service whose shards each own a memo
+//! `run_service` builds a sharded service whose shards each own a memo
 //! table and budget ledger (`rmcc_core::shard`), routes a
 //! [`rmcc_workloads::corpus`] scenario stream through the batched `submit`
 //! API, and snapshots both global and per-shard counters into one
 //! `MetricsRegistry` — shard order = registration order = export column
 //! order, so the JSONL schema is stable.
 //!
-//! The traffic itself comes from the workload corpus: the run's
-//! [`ServingScenario`] selects key-value serving (the default), a
-//! phase-change stream, or the adversarial-locality sweep, and
-//! [`ServiceRunConfig::corpus_scenario`] maps the run config onto the
-//! corpus generator. Because the generator is a plain
-//! [`TraceSource`], the same run can be driven from a *recorded* trace
-//! instead via [`run_service_from`] — replaying a file recorded with
-//! [`rmcc_workloads::codec::TraceWriter`] produces byte-identical
-//! telemetry and checksums to the live stream.
+//! The traffic itself comes from the workload corpus: a
+//! [`ServingScenario`] selects key-value serving, a phase-change stream, or
+//! the adversarial-locality sweep, and [`ServingScenario::corpus_scenario`]
+//! maps it onto the corpus generator. Every other parameter of the run
+//! (shard count, seed, keyspace, batch shape, memo epoch and budget) is a
+//! module constant. Because the generator is a plain [`TraceSource`], the
+//! same run can be driven from a *recorded* trace instead via
+//! [`run_service_from`] — replaying a file recorded with
+//! [`rmcc_workloads::codec::TraceWriter`] produces byte-identical telemetry
+//! and checksums to the live stream.
 //!
-//! Everything is a pure function of [`ServiceRunConfig`]. In particular the
-//! worker-pool width is **not** part of the function: the service's
-//! determinism contract makes the results — and therefore the telemetry and
-//! checksum — byte-identical at any `jobs`, which the tests pin down.
+//! Everything is a pure function of the [`ServingScenario`].
 
 use rmcc_core::shard::{aggregate_stats, memo_policy, MemoHandle, ShardMemoConfig, ShardMemoStats};
 use rmcc_secmem::service::{
-    digest_results, Access, AccessResult, HealthConfig, SecureMemoryService, ServiceConfig,
-    ServiceSnapshot,
+    digest_results, Access, AccessResult, SecureMemoryService, ServiceConfig, SHARD_ORG,
 };
 use rmcc_telemetry::{CounterId, MetricsRegistry, Telemetry};
 use rmcc_workloads::corpus::{
@@ -38,11 +35,42 @@ use rmcc_workloads::corpus::{
 };
 use rmcc_workloads::trace::{TraceEvent, TraceSink, TraceSource};
 
-/// Which corpus generator drives a service run.
+/// Shard count of the service every run builds.
+const SHARDS: usize = 4;
+/// Seed for the scenario's deterministic access-stream generator.
+pub const SEED: u64 = 0x00D1_5EA5_ED00_0006;
+/// Distinct tenants; tenant/key popularity is zipfian (octave-sampled), so
+/// a handful of tenants carry most of the traffic.
+const TENANTS: u64 = 64;
+/// Keyed regions per tenant; each region is one counter-coverage group.
+const REGIONS_PER_TENANT: u64 = 16;
+/// Batches submitted per run.
+const BATCHES: u64 = 24;
+/// Accesses per batch.
+const BATCH_SIZE: usize = 512;
+/// Total events one run submits.
+pub const EVENTS: u64 = BATCHES * BATCH_SIZE as u64;
+/// Probability, in per-mille, that an access is a write.
+const WRITE_PERMILLE: u32 = 600;
+/// Events per tenant-churn epoch for the key-value scenario.
+const CHURN_PERIOD: u64 = 4_096;
+/// Protected-region capacity in bytes (covers every tenant region).
+const DATA_BYTES: u64 = 1 << 28;
+/// Telemetry epoch length, in batches.
+const EPOCH_BATCHES: u64 = 6;
+/// Per-shard memo/budget epoch length, in that shard's accesses.
+const MEMO_EPOCH_ACCESSES: u64 = 512;
+/// Per-shard overhead-traffic budget fraction.
+const BUDGET_FRACTION: f64 = 0.25;
+/// Each shard's memo table starts with one group at this value.
+const LADDER_SEED: u64 = 4;
+
+/// Which corpus generator drives a service run — a few thousand accesses
+/// over a 4-shard service, sized for tests and CI smoke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingScenario {
     /// Multi-tenant key-value serving: zipfian tenant/key popularity with
-    /// optional tenant churn. The sustained-load default.
+    /// tenant churn.
     KvServing,
     /// A hot working set that relocates to a disjoint window every phase —
     /// the re-learning case for memoization.
@@ -51,141 +79,56 @@ pub enum ServingScenario {
     AdversarialLocality,
 }
 
-/// Parameters of a service run. Two equal configs yield byte-identical
-/// output at any worker width.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceRunConfig {
-    /// Which corpus scenario generates the traffic.
-    pub scenario: ServingScenario,
-    /// Shard count for the service.
-    pub shards: usize,
-    /// Worker-pool width for `submit` (affects wall clock only, never
-    /// results).
-    pub jobs: usize,
-    /// Seed for the scenario's deterministic access-stream generator.
-    pub seed: u64,
-    /// Distinct tenants; tenant/key popularity is zipfian (octave-sampled),
-    /// so a handful of tenants carry most of the traffic.
-    pub tenants: u64,
-    /// Keyed regions per tenant; each region is one counter-coverage group.
-    pub regions_per_tenant: u64,
-    /// Batches to submit.
-    pub batches: u64,
-    /// Accesses per batch.
-    pub batch_size: usize,
-    /// Probability, in per-mille, that an access is a write.
-    pub write_permille: u32,
-    /// Events per tenant-churn epoch for the key-value scenario (`0`
-    /// disables churn; ignored by the other scenarios).
-    pub churn_period: u64,
-    /// Protected-region capacity in bytes (must cover every tenant region).
-    pub data_bytes: u64,
-    /// Telemetry epoch length, in batches.
-    pub epoch_batches: u64,
-    /// Per-shard memo/budget epoch length, in that shard's accesses.
-    pub memo_epoch_accesses: u64,
-    /// Per-shard overhead-traffic budget fraction.
-    pub budget_fraction: f64,
-    /// Ladder seed: each shard's table starts with one group at this value
-    /// (0 = cold start, no seeding).
-    pub ladder_seed: u64,
-    /// Per-shard health lifecycle thresholds. `None` (the default) leaves
-    /// the lifecycle off and the telemetry schema exactly as before; `Some`
-    /// adds `shard{i}_health` gauges plus global lifecycle counters.
-    pub health: Option<HealthConfig>,
-}
+impl ServingScenario {
+    /// Every scenario, in reporting order.
+    pub const ALL: [ServingScenario; 3] = [
+        ServingScenario::KvServing,
+        ServingScenario::PhaseChange,
+        ServingScenario::AdversarialLocality,
+    ];
 
-impl ServiceRunConfig {
-    /// A small key-value serving run — a few thousand accesses over a
-    /// 4-shard service — sized for tests and CI smoke.
-    pub fn small() -> Self {
-        ServiceRunConfig {
-            scenario: ServingScenario::KvServing,
-            shards: 4,
-            jobs: 1,
-            seed: 0x00D1_5EA5_ED00_0006,
-            tenants: 64,
-            regions_per_tenant: 16,
-            batches: 24,
-            batch_size: 512,
-            write_permille: 600,
-            churn_period: 4_096,
-            data_bytes: 1 << 28,
-            epoch_batches: 6,
-            memo_epoch_accesses: 512,
-            budget_fraction: 0.25,
-            ladder_seed: 4,
-            health: None,
-        }
-    }
-
-    /// The small run driven by the phase-change stream.
-    pub fn phase_small() -> Self {
-        ServiceRunConfig {
-            scenario: ServingScenario::PhaseChange,
-            ..Self::small()
-        }
-    }
-
-    /// The small run driven by the adversarial-locality sweep.
-    pub fn adversarial_small() -> Self {
-        ServiceRunConfig {
-            scenario: ServingScenario::AdversarialLocality,
-            ..Self::small()
-        }
-    }
-
-    /// Total events one run submits.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.batches.saturating_mul(self.batch_size as u64)
-    }
-
-    /// The corpus generator this config selects, sized so each keyed region
-    /// is exactly one counter-coverage group of the service the run builds.
+    /// The corpus generator this scenario selects, sized so each keyed
+    /// region is exactly one counter-coverage group of the service the run
+    /// builds.
     ///
     /// This is the run's live traffic: recording this scenario with
     /// [`rmcc_workloads::codec::TraceWriter`] and replaying the file through
     /// [`run_service_from`] reproduces [`run_service`] byte for byte.
     #[must_use]
-    pub fn corpus_scenario(&self) -> Scenario {
-        // The service always uses the paper's Morphable counter org, so the
-        // coverage (blocks per L0 region) is a pure function of the config.
-        let svc = ServiceConfig::new(self.shards, self.data_bytes);
-        let blocks_per_region = svc.org.coverage() as u64;
-        let regions = self.tenants.max(1) * self.regions_per_tenant.max(1);
-        let events = self.events();
-        match self.scenario {
+    pub fn corpus_scenario(self) -> Scenario {
+        let blocks_per_region = SHARD_ORG.coverage() as u64;
+        let regions = TENANTS * REGIONS_PER_TENANT;
+        match self {
             ServingScenario::KvServing => Scenario::KvServing(KvServingConfig {
-                tenants: self.tenants,
-                regions_per_tenant: self.regions_per_tenant,
+                tenants: TENANTS,
+                regions_per_tenant: REGIONS_PER_TENANT,
                 blocks_per_region,
                 hot_blocks_per_region: 8,
-                events,
-                write_permille: self.write_permille,
-                churn_period: self.churn_period,
-                seed: self.seed,
+                events: EVENTS,
+                write_permille: WRITE_PERMILLE,
+                churn_period: CHURN_PERIOD,
+                seed: SEED,
             }),
             ServingScenario::PhaseChange => Scenario::PhaseChange(PhaseChangeConfig {
                 regions,
                 blocks_per_region,
                 hot_regions: (regions / 32).max(1),
-                phase_len: (events / 6).max(1),
-                events,
-                write_permille: self.write_permille,
-                seed: self.seed,
+                phase_len: (EVENTS / 6).max(1),
+                events: EVENTS,
+                write_permille: WRITE_PERMILLE,
+                seed: SEED,
             }),
             ServingScenario::AdversarialLocality => {
                 Scenario::AdversarialLocality(AdversarialLocalityConfig {
                     // Size the cycle past the per-shard memo tables so
                     // entries age out between revisits, but keep it inside
-                    // the configured keyspace.
-                    regions: regions.min(self.shards.max(1) as u64 * 192),
+                    // the keyspace.
+                    regions: regions.min(SHARDS as u64 * 192),
                     blocks_per_region,
                     burst: 2,
-                    events,
-                    write_permille: self.write_permille,
-                    seed: self.seed,
+                    events: EVENTS,
+                    write_permille: WRITE_PERMILLE,
+                    seed: SEED,
                 })
             }
         }
@@ -233,15 +176,6 @@ struct ShardIds {
     fallbacks: Vec<CounterId>,
 }
 
-/// Lifecycle telemetry handles, registered only for health-enabled runs.
-struct HealthIds {
-    degraded_accesses: CounterId,
-    rejected_writes: CounterId,
-    quarantines: CounterId,
-    rebuilds: CounterId,
-    per_shard: Vec<CounterId>,
-}
-
 /// Global telemetry handles shared by every run.
 struct GlobalIds {
     reads: CounterId,
@@ -260,14 +194,10 @@ struct GlobalIds {
 /// identical accounting path.
 struct ServiceDriver<'a> {
     service: &'a SecureMemoryService,
-    snap: &'a ServiceSnapshot,
     handles: &'a [MemoHandle],
     tele: &'a mut Telemetry,
     ids: &'a ShardIds,
-    health_ids: Option<&'a HealthIds>,
     global: GlobalIds,
-    batch_size: usize,
-    epoch_batches: u64,
     batch: Vec<Access>,
     seq: u64,
     batches_done: u64,
@@ -291,8 +221,9 @@ impl ServiceDriver<'_> {
         self.batches_done += 1;
         if let Some(active) = self.tele.active_mut() {
             let reg = &mut active.registry;
+            let snap = self.service.snapshot();
             for (access, result) in self.batch.iter().zip(results.iter()) {
-                let shard = self.snap.shard_of(access.block());
+                let shard = snap.shard_of(access.block());
                 if let Some(n) = self.shard_accesses.get_mut(shard) {
                     *n += 1;
                 }
@@ -334,29 +265,7 @@ impl ServiceDriver<'_> {
             reg.set_counter(self.global.conformed, agg.conformed_writes);
             reg.set_counter(self.global.baseline, agg.baseline_writes);
             reg.set_counter(self.global.budget, agg.budget_spent);
-            if let Some(hids) = self.health_ids {
-                let mut degraded = 0u64;
-                let mut rejected = 0u64;
-                let mut quarantines = 0u64;
-                let mut rebuilds = 0u64;
-                for shard in 0..self.snap.shards() {
-                    let Some(hs) = self.service.health_stats(shard) else {
-                        continue;
-                    };
-                    degraded = degraded.saturating_add(hs.degraded_accesses);
-                    rejected = rejected.saturating_add(hs.rejected_writes);
-                    quarantines = quarantines.saturating_add(hs.quarantines);
-                    rebuilds = rebuilds.saturating_add(hs.rebuilds);
-                    if let Some(&id) = hids.per_shard.get(shard) {
-                        reg.set_counter(id, hs.health.code());
-                    }
-                }
-                reg.set_counter(hids.degraded_accesses, degraded);
-                reg.set_counter(hids.rejected_writes, rejected);
-                reg.set_counter(hids.quarantines, quarantines);
-                reg.set_counter(hids.rebuilds, rebuilds);
-            }
-            if self.batches_done.is_multiple_of(self.epoch_batches) {
+            if self.batches_done.is_multiple_of(EPOCH_BATCHES) {
                 active.snapshot(self.epoch, self.accesses);
                 self.epoch += 1;
             }
@@ -370,45 +279,37 @@ impl TraceSink for ServiceDriver<'_> {
         let seq = self.seq;
         self.seq += 1;
         self.batch.push(access_for_event(&event, seq));
-        if self.batch.len() >= self.batch_size {
+        if self.batch.len() >= BATCH_SIZE {
             self.flush();
         }
     }
 }
 
-/// Runs the configured corpus scenario through the service and returns
+/// Runs the scenario's corpus stream through the service and returns
 /// telemetry plus tallies.
-pub fn run_service(cfg: &ServiceRunConfig) -> ServiceRunResult {
-    let mut scenario = cfg.corpus_scenario();
-    run_service_from(cfg, &mut scenario)
+pub fn run_service(scenario: ServingScenario) -> ServiceRunResult {
+    run_service_from(&mut scenario.corpus_scenario())
 }
 
 /// Runs the sustained-load stream from an arbitrary [`TraceSource`] —
 /// the live generator or a recorded trace file — and returns telemetry
 /// plus tallies. Replaying a trace recorded from
-/// [`ServiceRunConfig::corpus_scenario`] reproduces [`run_service`]'s
+/// [`ServingScenario::corpus_scenario`] reproduces [`run_service`]'s
 /// result byte for byte.
-pub fn run_service_from(cfg: &ServiceRunConfig, source: &mut dyn TraceSource) -> ServiceRunResult {
+pub fn run_service_from(source: &mut dyn TraceSource) -> ServiceRunResult {
     let memo_cfg = {
-        let mut m = ShardMemoConfig::paper().with_epoch(cfg.memo_epoch_accesses);
-        m.budget_fraction = cfg.budget_fraction;
+        let mut m = ShardMemoConfig::paper().with_epoch(MEMO_EPOCH_ACCESSES);
+        m.budget_fraction = BUDGET_FRACTION;
         m
     };
-    let mut handles: Vec<MemoHandle> = Vec::with_capacity(cfg.shards.max(1));
-    let mut svc_cfg = ServiceConfig::new(cfg.shards, cfg.data_bytes).with_jobs(cfg.jobs.max(1));
-    if let Some(h) = cfg.health {
-        svc_cfg = svc_cfg.with_health(h);
-    }
-    let service = SecureMemoryService::with_policies(&svc_cfg, |_| {
-        let (policy, handle) = memo_policy(&memo_cfg);
-        if cfg.ladder_seed > 0 {
-            handle.seed_groups([cfg.ladder_seed]);
-        }
-        handles.push(handle);
-        policy
-    });
-    let snap = service.snapshot();
-    let shards = snap.shards();
+    let mut handles: Vec<MemoHandle> = Vec::with_capacity(SHARDS);
+    let service =
+        SecureMemoryService::with_policies(&ServiceConfig::new(SHARDS, DATA_BYTES), |_| {
+            let (policy, handle) = memo_policy(&memo_cfg);
+            handle.seed_groups([LADDER_SEED]);
+            handles.push(handle);
+            policy
+        });
 
     // The exporter renders `epoch` and `accesses` as built-in leading
     // columns of every snapshot, so the registry holds only the columns
@@ -425,40 +326,27 @@ pub fn run_service_from(cfg: &ServiceRunConfig, source: &mut dyn TraceSource) ->
         budget: registry.counter("budget_spent"),
     };
     let ids = ShardIds {
-        accesses: registry.shard_counters("accesses", shards),
-        conformed: registry.shard_counters("conformed", shards),
-        budget_spent: registry.shard_counters("budget_spent", shards),
-        table_hits: registry.shard_counters("table_hits", shards),
-        fallbacks: registry.shard_counters("fallbacks", shards),
+        accesses: registry.shard_counters("accesses", SHARDS),
+        conformed: registry.shard_counters("conformed", SHARDS),
+        budget_spent: registry.shard_counters("budget_spent", SHARDS),
+        table_hits: registry.shard_counters("table_hits", SHARDS),
+        fallbacks: registry.shard_counters("fallbacks", SHARDS),
     };
-    // Lifecycle columns exist only when the lifecycle itself does, so a
-    // health-disabled run exports the exact pre-lifecycle schema.
-    let health_ids = cfg.health.map(|_| HealthIds {
-        degraded_accesses: registry.counter("degraded_accesses"),
-        rejected_writes: registry.counter("rejected_writes"),
-        quarantines: registry.counter("quarantines"),
-        rebuilds: registry.counter("rebuilds"),
-        per_shard: registry.shard_counters("health", shards),
-    });
     let mut tele = Telemetry::on(registry);
 
     let mut driver = ServiceDriver {
         service: &service,
-        snap: snap.as_ref(),
         handles: &handles,
         tele: &mut tele,
         ids: &ids,
-        health_ids: health_ids.as_ref(),
         global,
-        batch_size: cfg.batch_size.max(1),
-        epoch_batches: cfg.epoch_batches.max(1),
-        batch: Vec::with_capacity(cfg.batch_size.max(1)),
+        batch: Vec::with_capacity(BATCH_SIZE),
         seq: 0,
         batches_done: 0,
         epoch: 0,
         checksum: 0,
         accesses: 0,
-        shard_accesses: vec![0u64; shards],
+        shard_accesses: vec![0u64; SHARDS],
     };
     source.stream(&mut driver);
     driver.flush();
@@ -483,45 +371,19 @@ mod tests {
     use std::io::Cursor;
 
     #[test]
-    fn pure_function_of_config() {
-        let cfg = ServiceRunConfig::small();
-        let a = run_service(&cfg);
-        let b = run_service(&cfg);
-        assert_eq!(a, b);
-        assert!(!a.jsonl.is_empty());
-    }
-
-    #[test]
-    fn worker_width_never_changes_results() {
-        let mut cfg = ServiceRunConfig::small();
-        let serial = run_service(&cfg);
-        cfg.jobs = 4;
-        let pooled = run_service(&cfg);
-        assert_eq!(serial.checksum, pooled.checksum);
-        assert_eq!(serial.jsonl, pooled.jsonl, "telemetry is width-invariant");
-        assert_eq!(serial.aggregate, pooled.aggregate);
-    }
-
-    #[test]
     fn every_scenario_runs_deterministically() {
-        for cfg in [
-            ServiceRunConfig::small(),
-            ServiceRunConfig::phase_small(),
-            ServiceRunConfig::adversarial_small(),
-        ] {
-            let a = run_service(&cfg);
-            let b = run_service(&cfg);
-            assert_eq!(a, b, "{} not deterministic", cfg.corpus_scenario().name());
-            assert_eq!(a.accesses, cfg.events());
+        for scenario in ServingScenario::ALL {
+            let a = run_service(scenario);
+            let b = run_service(scenario);
+            assert_eq!(a, b, "{scenario:?} not deterministic");
+            assert_eq!(a.accesses, EVENTS);
             assert!(!a.jsonl.is_empty());
         }
     }
 
     #[test]
     fn scenarios_produce_distinct_streams() {
-        let kv = run_service(&ServiceRunConfig::small());
-        let phase = run_service(&ServiceRunConfig::phase_small());
-        let adv = run_service(&ServiceRunConfig::adversarial_small());
+        let [kv, phase, adv] = ServingScenario::ALL.map(run_service);
         assert_ne!(kv.checksum, phase.checksum);
         assert_ne!(kv.checksum, adv.checksum);
         assert_ne!(phase.checksum, adv.checksum);
@@ -529,31 +391,25 @@ mod tests {
 
     #[test]
     fn recorded_trace_replays_byte_identically() {
-        for cfg in [
-            ServiceRunConfig::small(),
-            ServiceRunConfig::phase_small(),
-            ServiceRunConfig::adversarial_small(),
-        ] {
-            let live = run_service(&cfg);
+        for scenario in ServingScenario::ALL {
+            let live = run_service(scenario);
             let mut writer = TraceWriter::new(Cursor::new(Vec::new())).expect("writer");
-            cfg.corpus_scenario().stream(&mut writer);
+            scenario.corpus_scenario().stream(&mut writer);
             let (summary, cursor) = writer.finish_into_inner().expect("finish");
-            assert_eq!(summary.events, cfg.events());
+            assert_eq!(summary.events, EVENTS);
             let mut reader = TraceReader::new(Cursor::new(cursor.into_inner())).expect("reader");
-            let replayed = run_service_from(&cfg, &mut reader);
+            let replayed = run_service_from(&mut reader);
             assert!(reader.error().is_none(), "replay hit a codec error");
             assert_eq!(
-                live,
-                replayed,
-                "{}: replay diverged from live stream",
-                cfg.corpus_scenario().name()
+                live, replayed,
+                "{scenario:?}: replay diverged from live stream"
             );
         }
     }
 
     #[test]
     fn shard_columns_partition_the_traffic() {
-        let r = run_service(&ServiceRunConfig::small());
+        let r = run_service(ServingScenario::KvServing);
         assert_eq!(r.shard_accesses.iter().sum::<u64>(), r.accesses);
         assert!(
             r.shard_accesses.iter().filter(|&&n| n > 0).count() > 1,
@@ -569,50 +425,16 @@ mod tests {
                 .unwrap_or(-1.0)
         };
         // Shard-labeled columns exist and sum to the global access count.
-        let shard_sum: f64 = (0..4).map(|i| col(&format!("shard{i}_accesses"))).sum();
+        let shard_sum: f64 = (0..SHARDS)
+            .map(|i| col(&format!("shard{i}_accesses")))
+            .sum();
         assert!((shard_sum - col("accesses")).abs() < 0.5);
         assert!(col("shard_faults") == 0.0);
     }
 
     #[test]
-    fn health_columns_export_only_when_enabled() {
-        let base = run_service(&ServiceRunConfig::small());
-        assert!(
-            !base.jsonl.contains("shard0_health") && !base.jsonl.contains("\"quarantines\""),
-            "health-disabled schema must stay pre-lifecycle"
-        );
-
-        let mut cfg = ServiceRunConfig::small();
-        cfg.health = Some(HealthConfig::new());
-        let r = run_service(&cfg);
-        assert_eq!(r, run_service(&cfg), "health telemetry is deterministic");
-        let rows = rmcc_telemetry::parse_jsonl(&r.jsonl).expect("valid JSONL");
-        let last = rows.last().expect("nonempty");
-        let col = |k: &str| {
-            last.get(k)
-                .and_then(rmcc_telemetry::JsonValue::as_f64)
-                .unwrap_or(-1.0)
-        };
-        for i in 0..4 {
-            assert_eq!(
-                col(&format!("shard{i}_health")),
-                0.0,
-                "clean load keeps shard {i} Healthy"
-            );
-        }
-        assert_eq!(col("quarantines"), 0.0);
-        assert_eq!(col("rebuilds"), 0.0);
-        assert_eq!(col("degraded_accesses"), 0.0);
-        assert_eq!(col("rejected_writes"), 0.0);
-        assert_eq!(
-            r.checksum, base.checksum,
-            "enabling the lifecycle never changes clean-load results"
-        );
-    }
-
-    #[test]
     fn memoization_conforms_under_sustained_load() {
-        let r = run_service(&ServiceRunConfig::small());
+        let r = run_service(ServingScenario::KvServing);
         assert!(
             r.aggregate.conformed_writes > 0,
             "seeded ladders steer some writes: {:?}",
@@ -624,16 +446,13 @@ mod tests {
 
     #[test]
     fn kv_addresses_fit_the_configured_keyspace() {
-        let cfg = ServiceRunConfig::small();
-        let scenario = cfg.corpus_scenario();
-        let Scenario::KvServing(kv) = scenario else {
-            panic!("small preset is key-value serving");
+        let Scenario::KvServing(kv) = ServingScenario::KvServing.corpus_scenario() else {
+            panic!("KvServing selects the key-value generator");
         };
         let span = kv.tenants * kv.regions_per_tenant * kv.blocks_per_region * BLOCK_BYTES;
         assert!(
-            span <= cfg.data_bytes,
-            "keyspace {span} exceeds data_bytes {}",
-            cfg.data_bytes
+            span <= DATA_BYTES,
+            "keyspace {span} exceeds DATA_BYTES {DATA_BYTES}"
         );
     }
 }

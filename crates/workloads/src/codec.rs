@@ -486,6 +486,10 @@ impl<R: Read> TraceReader<R> {
         let mut v = 0u64;
         for i in 0..10 {
             let b = self.read_byte()?;
+            // The tenth byte holds only bit 63; any higher bit would be lost.
+            if i == 9 && b > 1 {
+                break;
+            }
             v |= u64::from(b & 0x7F) << (7 * i);
             if b & 0x80 == 0 {
                 return Ok(v);
@@ -651,6 +655,22 @@ mod tests {
                     | CodecError::Truncated
             ),
             "unexpected error class: {err}"
+        );
+    }
+
+    #[test]
+    fn varint_past_64_bits_is_corrupt() {
+        // One absolute-address escape record (lead 0xC0) whose payload
+        // varint has a tenth byte of 0x02: bit 64, which a u64 cannot hold.
+        let (mut bytes, _) = encode(&[ev(0, false, 0, false)]);
+        bytes.truncate(HEADER_BYTES as usize);
+        bytes.push(0xC0);
+        bytes.extend([0xFF; 9]);
+        bytes.push(0x02);
+        let err = decode(&bytes).expect_err("overlong varint must error");
+        assert!(
+            matches!(err, CodecError::Corrupt("overlong varint")),
+            "unexpected error: {err}"
         );
     }
 

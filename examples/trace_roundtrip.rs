@@ -8,7 +8,7 @@
 //! cargo run --release --example trace_roundtrip
 //! ```
 
-use rmcc::sim::service_run::{run_service, run_service_from, ServiceRunConfig};
+use rmcc::sim::service_run::{run_service, run_service_from, ServingScenario, EVENTS, SEED};
 use rmcc::workloads::codec::{reader_from_path, record_to_path};
 
 /// The pinned telemetry fixture of the small run (also pinned by
@@ -17,17 +17,16 @@ use rmcc::workloads::codec::{reader_from_path, record_to_path};
 const GOLDEN: &str = include_str!("../tests/golden/service_run_small.jsonl");
 
 fn main() {
-    let cfg = ServiceRunConfig::small();
-    let scenario = cfg.corpus_scenario();
+    let scenario = ServingScenario::KvServing;
     println!(
         "scenario: {} ({} events, seed {:#x})",
-        scenario.name(),
-        cfg.events(),
-        cfg.seed
+        scenario.corpus_scenario().name(),
+        EVENTS,
+        SEED
     );
 
     println!("\n1. live run through the 4-shard service…");
-    let live = run_service(&cfg);
+    let live = run_service(scenario);
     println!(
         "   {} accesses, checksum {:#018x}",
         live.accesses, live.checksum
@@ -39,8 +38,8 @@ fn main() {
 
     let path = std::env::temp_dir().join("rmcc_trace_roundtrip.trc");
     println!("\n2. recording the scenario to {}…", path.display());
-    let summary =
-        record_to_path(&path, &mut cfg.corpus_scenario()).expect("recording cannot fail on tmpfs");
+    let summary = record_to_path(&path, &mut scenario.corpus_scenario())
+        .expect("recording cannot fail on tmpfs");
     println!(
         "   {} events in {} bytes = {:.2} bytes/event (payload {:.2})",
         summary.events,
@@ -56,7 +55,7 @@ fn main() {
 
     println!("\n3. replaying the recorded file through a fresh service…");
     let mut reader = reader_from_path(&path).expect("recorded file opens");
-    let replayed = run_service_from(&cfg, &mut reader);
+    let replayed = run_service_from(&mut reader);
     assert!(
         reader.error().is_none(),
         "replay hit a codec error: {:?}",

@@ -16,8 +16,10 @@
 //!    the crypto pipeline shows up here as a diff.
 
 use proptest::prelude::*;
-use rmcc::secmem::{digest_results, serial_reference, Access, SecureMemoryService, ServiceConfig};
-use rmcc::sim::service_run::{run_service, ServiceRunConfig};
+use rmcc::secmem::{
+    digest_results, serial_reference, Access, HealthConfig, SecureMemoryService, ServiceConfig,
+};
+use rmcc::sim::service_run::{run_service, ServingScenario};
 
 /// Address space small enough to keep proptest cases fast, large enough
 /// for several tree levels per shard.
@@ -85,8 +87,10 @@ proptest! {
         );
     }
 
-    /// Repeat submissions stay identical: the same two batches through two
-    /// fresh services (different widths) give the same digests in sequence.
+    /// Repeat submissions stay identical: the same two batches through
+    /// three fresh services — narrow, wide, and narrow with the health
+    /// lifecycle enabled — give the same digests in sequence. Clean load
+    /// never trips the lifecycle, so enabling it never changes results.
     #[test]
     fn resubmission_sequences_are_width_invariant(
         raw_a in prop::collection::vec((0u64..1024, any::<bool>(), any::<u8>()), 1..32),
@@ -97,10 +101,13 @@ proptest! {
         let cfg = ServiceConfig::new(shards, DATA_BYTES);
         let narrow = SecureMemoryService::new(&cfg);
         let wide = SecureMemoryService::new(&cfg);
+        let health = SecureMemoryService::new(&cfg.with_health(HealthConfig::new()));
         for batch in [&a, &b] {
             let rn = narrow.submit_with_jobs(batch, 1);
             let rw = wide.submit_with_jobs(batch, 4);
+            let rh = health.submit_with_jobs(batch, 1);
             prop_assert_eq!(digest_results(&rn), digest_results(&rw));
+            prop_assert_eq!(digest_results(&rn), digest_results(&rh));
         }
     }
 }
@@ -120,23 +127,24 @@ const GOLDEN_KV_CHECKSUM: u64 = 0x9ba6_4580_9ecb_f7a5;
 const GOLDEN_PHASE_CHECKSUM: u64 = 0xff18_fe98_f8b2_08b4;
 const GOLDEN_ADVERSARIAL_CHECKSUM: u64 = 0xadd4_1aa2_1e9d_1f79;
 
-/// `(config, fixture path, pinned telemetry, pinned checksum)` per scenario.
-fn golden_cases() -> [(ServiceRunConfig, &'static str, &'static str, u64); 3] {
+/// `(scenario, fixture path, pinned telemetry, pinned checksum)` per
+/// scenario.
+fn golden_cases() -> [(ServingScenario, &'static str, &'static str, u64); 3] {
     [
         (
-            ServiceRunConfig::small(),
+            ServingScenario::KvServing,
             "tests/golden/service_run_small.jsonl",
             GOLDEN_KV,
             GOLDEN_KV_CHECKSUM,
         ),
         (
-            ServiceRunConfig::phase_small(),
+            ServingScenario::PhaseChange,
             "tests/golden/service_run_phase_small.jsonl",
             GOLDEN_PHASE,
             GOLDEN_PHASE_CHECKSUM,
         ),
         (
-            ServiceRunConfig::adversarial_small(),
+            ServingScenario::AdversarialLocality,
             "tests/golden/service_run_adversarial_small.jsonl",
             GOLDEN_ADVERSARIAL,
             GOLDEN_ADVERSARIAL_CHECKSUM,
@@ -146,9 +154,9 @@ fn golden_cases() -> [(ServiceRunConfig, &'static str, &'static str, u64); 3] {
 
 #[test]
 fn seeded_service_runs_match_golden_fixtures() {
-    for (cfg, path, golden, checksum) in golden_cases() {
-        let name = cfg.corpus_scenario().name();
-        let r = run_service(&cfg);
+    for (scenario, path, golden, checksum) in golden_cases() {
+        let name = scenario.corpus_scenario().name();
+        let r = run_service(scenario);
         assert_eq!(
             r.checksum, checksum,
             "{name}: service run checksum drifted: got {:#018x}",
@@ -166,12 +174,12 @@ fn seeded_service_runs_match_golden_fixtures() {
 #[ignore = "writes the golden fixtures; run explicitly after intentional changes"]
 fn regenerate() {
     let mut checksums = String::new();
-    for (cfg, path, _, _) in golden_cases() {
-        let r = run_service(&cfg);
+    for (scenario, path, _, _) in golden_cases() {
+        let r = run_service(scenario);
         std::fs::write(path, &r.jsonl).unwrap_or_else(|e| panic!("cannot write fixture: {e}"));
         checksums.push_str(&format!(
             "\n  {}: {:#018x}",
-            cfg.corpus_scenario().name(),
+            scenario.corpus_scenario().name(),
             r.checksum
         ));
     }

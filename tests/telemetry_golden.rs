@@ -44,21 +44,6 @@ fn golden_run_is_stable_across_reruns_and_threads() {
 }
 
 #[test]
-fn golden_fixture_holds_under_the_hardened_backend() {
-    // AES backends are ciphertext-identical, so flipping RMCC_BACKEND to
-    // the bitsliced constant-time path must not move a single byte of the
-    // telemetry series. (The env flip is benign for concurrent tests:
-    // backends never change outputs.)
-    std::env::set_var("RMCC_BACKEND", "hardened");
-    let r = run_dynamics(&DynamicsConfig::small());
-    std::env::remove_var("RMCC_BACKEND");
-    assert_eq!(
-        r.jsonl, GOLDEN,
-        "telemetry series drifted under RMCC_BACKEND=hardened"
-    );
-}
-
-#[test]
 fn golden_fixture_parses_and_carries_the_headline_metrics() {
     let rows = parse_jsonl(GOLDEN).expect("fixture is well-formed JSONL");
     assert!(
