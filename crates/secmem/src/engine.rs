@@ -8,6 +8,7 @@
 //! attacks (restoring stale ciphertext *and* stale counters consistently)
 //! are caught by the integrity tree rooted on-chip.
 
+use rmcc_cache::set_assoc::{CacheStats, SetAssocCache};
 use rmcc_crypto::aes::{AesVariant, Backend, BATCH_BLOCKS};
 use rmcc_crypto::mac::{compute_mac, verify_mac, xor_with_pads, DataBlock, MacKeys};
 use rmcc_crypto::otp::{KeySet, OtpPipeline, RmccOtp, SgxOtp, COUNTER_MAX};
@@ -209,6 +210,110 @@ struct StoredNode {
     mac: u64,
 }
 
+/// Lines in the memory controller's on-chip counter cache: Table I's
+/// 128 KiB of 64 B lines.
+const COUNTER_CACHE_LINES: usize = 2048;
+
+/// Associativity of the on-chip counter cache (Table I).
+const COUNTER_CACHE_WAYS: usize = 32;
+
+/// The memory controller's on-chip counter cache: verified copies of tree
+/// nodes, trusted like the on-chip root. A read walk stops at the first
+/// node whose copy is resident and bit-identical to its DRAM image; only
+/// the nodes below it pay a verify (the simulator's `MetaEngine` rule).
+///
+/// Publishing stays write-through, so the cache never holds the only
+/// up-to-date copy of a node: writes update resident copies in place and
+/// allocate no line.
+struct CounterCache {
+    /// Tags and LRU state, keyed by node line address (`node_addr >> 6`).
+    tags: SetAssocCache,
+    /// `copies[level]` holds the verified image of every resident node at
+    /// that level, keyed by node index like `SecureMemory::nodes`. A copy
+    /// exists exactly when its line is resident.
+    copies: Vec<PagedArena<StoredNode>>,
+    /// One lookup per tree level a read walk visits. Kept here rather than
+    /// in `tags`, whose own tally would count a resident line whose DRAM
+    /// image differs from its copy as a hit.
+    stats: CacheStats,
+}
+
+impl CounterCache {
+    fn new(depth: usize) -> Self {
+        let mut copies = Vec::new();
+        copies.resize_with(depth, PagedArena::new);
+        CounterCache {
+            tags: SetAssocCache::new(COUNTER_CACHE_LINES, COUNTER_CACHE_WAYS),
+            copies,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn copy(&self, level: usize, idx: u64) -> Option<&StoredNode> {
+        self.copies.get(level)?.get(idx)
+    }
+
+    /// A read walk's lookup of node (`level`, `idx`), whose DRAM image is
+    /// `dram`. It hits only when the node's copy is resident and
+    /// bit-identical to `dram`; a hit refreshes the line's LRU position.
+    fn lookup(
+        &mut self,
+        layout: &MetadataLayout,
+        level: usize,
+        idx: u64,
+        dram: Option<&StoredNode>,
+    ) -> bool {
+        self.stats.accesses += 1;
+        let hit = dram.is_some() && self.copy(level, idx) == dram;
+        if hit {
+            self.stats.hits += 1;
+            self.tags.lookup(layout.node_addr(level, idx) >> 6, false);
+        } else {
+            self.stats.misses += 1;
+        }
+        hit
+    }
+
+    /// Installs the just-verified `node` as (`level`, `idx`)'s copy and
+    /// drops the copy of whatever line the fill evicts.
+    fn fill(&mut self, layout: &MetadataLayout, level: usize, idx: u64, node: StoredNode) {
+        if let Some(victim) = self.tags.fill(layout.node_addr(level, idx) >> 6, false) {
+            if let Some((vl, vi)) = layout.locate(victim.addr << 6) {
+                if let Some(copies) = self.copies.get_mut(vl) {
+                    copies.remove(vi);
+                }
+            }
+        }
+        if let Some(copies) = self.copies.get_mut(level) {
+            copies.insert(idx, node);
+        }
+    }
+
+    /// Replaces (`level`, `idx`)'s copy if its line is resident.
+    fn update(&mut self, level: usize, idx: u64, node: StoredNode) {
+        if let Some(copy) = self.copies.get_mut(level).and_then(|c| c.get_mut(idx)) {
+            *copy = node;
+        }
+    }
+
+    /// Drops (`level`, `idx`)'s line and copy.
+    fn invalidate(&mut self, layout: &MetadataLayout, level: usize, idx: u64) {
+        if let Some(copies) = self.copies.get_mut(level) {
+            if copies.remove(idx).is_some() {
+                self.tags.invalidate(layout.node_addr(level, idx) >> 6);
+            }
+        }
+    }
+
+    /// Drops every line; the statistics are kept.
+    fn clear(&mut self) {
+        *self = CounterCache {
+            stats: self.stats,
+            ..CounterCache::new(self.copies.len())
+        };
+    }
+}
+
 /// A consistent snapshot of everything an attacker must restore for a
 /// replay attempt on one block.
 #[derive(Debug, Clone)]
@@ -311,6 +416,9 @@ pub struct SecureMemory {
     /// `level` (the on-chip root is never stored). Arena-per-level: lookup
     /// is layout arithmetic, and steady-state access allocates nothing.
     nodes: Vec<PagedArena<StoredNode>>,
+    /// Trusted on-chip copies of verified nodes; excluded from
+    /// [`Self::state_digest`].
+    counter_cache: CounterCache,
     /// The AES backend the pipeline's keys were expanded on (diagnostics;
     /// outputs are backend-invariant).
     backend: Backend,
@@ -373,6 +481,7 @@ impl SecureMemory {
         let meta = MetadataState::new(org, data_bytes, InitPolicy::Zero);
         let mut nodes = Vec::new();
         nodes.resize_with(meta.layout().depth(), PagedArena::new);
+        let counter_cache = CounterCache::new(meta.layout().depth());
         SecureMemory {
             meta,
             pipeline,
@@ -381,6 +490,7 @@ impl SecureMemory {
             policy,
             data: PagedArena::new(),
             nodes,
+            counter_cache,
             backend,
             overflow_reencryptions: 0,
             crypto: CryptoStats::new(),
@@ -456,11 +566,29 @@ impl SecureMemory {
     }
 
     /// Cumulative primitive-invocation tally: AES invocations, clmul
-    /// combines, and MAC verifications this engine has performed. This
-    /// functional engine has no memoization table, so `aes_saved` stays
-    /// zero here; the timing simulator's accounting adds the saved side.
+    /// combines, and MAC verifications this engine has performed. A read
+    /// pays a verify pad and a MAC verify only for the tree nodes the
+    /// on-chip counter cache missed ([`Self::counter_cache_stats`]), plus
+    /// the data block's own. This functional engine has no memoization
+    /// table, so `aes_saved` stays zero here; the timing simulator's
+    /// accounting adds the saved side.
     pub fn crypto_stats(&self) -> CryptoStats {
         self.crypto
+    }
+
+    /// Cumulative on-chip counter-cache tally: one access per tree level a
+    /// read walk looked up, split into hits (the walk stopped there) and
+    /// misses (the node was fetched and verified). `writebacks` stays zero:
+    /// publishing is write-through.
+    pub fn counter_cache_stats(&self) -> CacheStats {
+        self.counter_cache.stats
+    }
+
+    /// Empties the counter cache, so the next read walks to the on-chip
+    /// root: the uncached reference the differential oracle compares with.
+    #[cfg(test)]
+    fn flush_counter_cache(&mut self) {
+        self.counter_cache.clear();
     }
 
     /// Records one pad computation in the tally (every `block_pads` call
@@ -586,20 +714,32 @@ impl SecureMemory {
 
     // --- read path ------------------------------------------------------
 
-    /// Verifies the tree path for L0 node `idx` from the root down, then
-    /// returns `Ok` if every image matches its MAC under its parent counter.
+    /// Verifies the tree path for L0 node `l0_idx`. The walk climbs from L0
+    /// and stops at the first node the on-chip counter cache holds with a
+    /// copy bit-identical to its DRAM image, or at the on-chip root. The
+    /// nodes below that point are verified top-down, each image's MAC under
+    /// its trusted parent counter, and each one that verifies is filled
+    /// into the cache. Returns `Ok` if every fetched image verified.
     fn verify_path(&mut self, l0_idx: u64) -> Result<(), ReadError> {
-        // Collect the chain of (level, index) from L0 up to the top
-        // in-memory level, reusing the scratch buffer (no per-read alloc).
+        // Collect the chain of (level, index) the cache missed, reusing the
+        // scratch buffer (no per-read alloc).
         let mut chain = std::mem::take(&mut self.scratch_chain);
         chain.clear();
-        let mut idx = l0_idx;
-        let mut level = 0;
-        chain.push((level, idx));
-        while let Some(p) = self.meta.layout().parent_index(level, idx) {
-            level += 1;
-            idx = p;
+        let mut next = Some((0, l0_idx));
+        while let Some((level, idx)) = next {
+            let dram = self.nodes.get(level).and_then(|arena| arena.get(idx));
+            if self
+                .counter_cache
+                .lookup(self.meta.layout(), level, idx, dram)
+            {
+                break;
+            }
             chain.push((level, idx));
+            next = self
+                .meta
+                .layout()
+                .parent_index(level, idx)
+                .map(|p| (level + 1, p));
         }
         // Verify top-down: each node's image MAC under the trusted/verified
         // parent counter.
@@ -622,6 +762,8 @@ impl SecureMemory {
                     outcome = Err(ReadError::MetadataTampered { level });
                     break;
                 }
+                self.counter_cache
+                    .fill(self.meta.layout(), level, idx, node);
             }
             // Nodes with no image were never written back; their state is
             // the trusted initial state.
@@ -630,7 +772,9 @@ impl SecureMemory {
         outcome
     }
 
-    /// Reads and decrypts data block `block`, verifying the full chain.
+    /// Reads and decrypts data block `block`, verifying its counter chain up
+    /// to the first node held in the on-chip counter cache (the on-chip
+    /// root when none is).
     ///
     /// # Errors
     ///
@@ -666,13 +810,19 @@ impl SecureMemory {
     fn publish_node(&mut self, level: usize, idx: u64) -> Result<(), WriteError> {
         let depth = self.meta.layout().depth();
         let (parent_level, parent_idx) = self.meta.layout().parent_loc(level, idx)?;
+        // The node's trusted state has moved; a refusal below leaves its
+        // image unpublished, so its on-chip copy is stale and must go.
         let current = self.meta.node_counter(level, idx);
         if current >= COUNTER_MAX {
+            self.counter_cache
+                .invalidate(self.meta.layout(), level, idx);
             return Err(WriteError::CounterSaturated { counter: current });
         }
         if let Err(overflow) = self.meta.write_node_counter(level, idx, current + 1) {
             // Parent relevel: every sibling node image must be re-MACed.
             if overflow.min_relevel_target > COUNTER_MAX {
+                self.counter_cache
+                    .invalidate(self.meta.layout(), level, idx);
                 return Err(WriteError::CounterSaturated { counter: current });
             }
             self.meta
@@ -696,14 +846,17 @@ impl SecureMemory {
     }
 
     /// Recomputes the stored MAC for node (`level`, `idx`) from its current
-    /// trusted state and protecting counter.
+    /// trusted state and protecting counter, and updates its on-chip copy
+    /// if one is resident.
     fn refresh_node_mac(&mut self, level: usize, idx: u64) {
         let counter = self.meta.node_counter(level, idx);
         let addr = self.meta.layout().node_addr(level, idx) >> 6;
         let mac_pad = self.mac_pad_for(addr, counter);
         let image = node_image(self.meta.block(level, idx));
         let mac = compute_mac(&self.mac_keys, &image, mac_pad);
-        self.store_node(level, idx, StoredNode { image, mac });
+        let node = StoredNode { image, mac };
+        self.counter_cache.update(level, idx, node);
+        self.store_node(level, idx, node);
     }
 
     // --- recovery interface ------------------------------------------------
@@ -732,9 +885,12 @@ impl SecureMemory {
     /// attacker planted. Every stored ciphertext is then re-verified under
     /// its trusted counter; blocks whose MAC fails even there are counted
     /// as unrecoverable (their backing-store image itself is damaged).
-    /// Cumulative telemetry (crypto tallies, overflow counts) still grows —
-    /// the rebuild pays real pad and verify work.
+    /// The on-chip counter cache is emptied first, so nothing verified
+    /// before the rebuild is trusted after it. Cumulative telemetry (crypto
+    /// and counter-cache tallies, overflow counts) still grows — the
+    /// rebuild pays real pad and verify work.
     pub fn rebuild(&mut self) -> RebuildReport {
+        self.counter_cache.clear();
         let mut report = RebuildReport::default();
         // Phase 1: re-derive every stored node image from trusted state.
         let mut locations: Vec<(usize, u64)> = Vec::new();
@@ -765,7 +921,8 @@ impl SecureMemory {
     /// Order-sensitive fingerprint of the engine's *architectural* state:
     /// the trusted counter tree plus every stored data and node image.
     /// Cumulative telemetry (crypto tallies, overflow-re-encryption counts)
-    /// is deliberately excluded, so a rebuilt shard can be compared
+    /// and the counter cache's contents, which only ever repeat trusted
+    /// state, are deliberately excluded, so a rebuilt shard can be compared
     /// byte-for-byte against a never-faulted control twin whose history
     /// differs only in fallback accounting.
     pub fn state_digest(&self) -> u64 {
@@ -1175,15 +1332,30 @@ mod tests {
         assert_eq!(after_write.mac_verifies, 0, "writes verify nothing");
         m.read(3).unwrap();
         let after_read = m.crypto_stats();
-        assert!(
-            after_read.mac_verifies >= 2,
-            "tree chain plus the data block verify"
+        assert_eq!(
+            after_read.mac_verifies,
+            m.layout().depth() as u64 + 1,
+            "the first read after a write verifies the tree chain plus the data block"
         );
         assert!(after_read.aes_paid > after_write.aes_paid);
         assert_eq!(
             after_read.aes_saved, 0,
             "the functional engine has no memoization table"
         );
+        // The second read stops at the cached L0 node: one pad and one MAC
+        // verify, both for the data block.
+        let cache_before = m.counter_cache_stats();
+        m.read(3).unwrap();
+        let again = m.crypto_stats();
+        assert_eq!(
+            again.aes_paid - after_read.aes_paid,
+            CryptoCost::rmcc_block().aes
+        );
+        assert_eq!(again.mac_verifies - after_read.mac_verifies, 1);
+        let cache = m.counter_cache_stats();
+        assert_eq!(cache.hits - cache_before.hits, 1);
+        assert_eq!(cache.misses, cache_before.misses);
+        assert_eq!(cache.accesses, cache.hits + cache.misses);
         // The baseline pipeline performs no combines.
         let mut s = mem(PipelineKind::Sgx);
         s.write(3, [1u8; 64]).unwrap();
@@ -1219,6 +1391,283 @@ mod tests {
         assert!(matches!(err, WriteError::CounterSaturated { .. }));
         // …and refusal is fail-safe: nothing was stored, nothing corrupted.
         assert_eq!(sat.read(5), Err(ReadError::Unwritten { block: 5 }));
+    }
+
+    #[test]
+    fn ancestor_replay_under_a_cached_node_is_caught_on_refetch() {
+        let org = CounterOrg::Morphable128;
+        let mut m = SecureMemory::new(org, 1 << 26, PipelineKind::Rmcc, 99);
+        let coverage = org.coverage() as u64;
+        // `a` and `b` sit under different L0 nodes below the same L1 node.
+        let (a, b) = (5, coverage + 5);
+        let l0a = m.layout().l0_index(a);
+        let l1 = m.layout().parent_index(0, l0a).unwrap();
+        assert_ne!(m.layout().l0_index(b), l0a);
+        assert_eq!(m.layout().parent_index(0, m.layout().l0_index(b)), Some(l1));
+        m.write(a, [1u8; 64]).unwrap();
+        m.write(b, [2u8; 64]).unwrap();
+        let stale = m.snapshot_node(1, l1).unwrap();
+        m.write(a, [3u8; 64]).unwrap();
+        assert_eq!(m.read(a).unwrap(), [3u8; 64], "caches a's chain");
+        m.replay_node(&stale);
+        // The cached L0 node still vouches for `a`: its last write, never
+        // stale plaintext.
+        for _ in 0..2 {
+            assert_eq!(m.read(a).unwrap(), [3u8; 64]);
+        }
+        // A walk that reaches the replayed L1 node catches it.
+        assert_eq!(m.read(b), Err(ReadError::MetadataTampered { level: 1 }));
+        // Reads under L0 nodes in a's set (and under other L1 nodes) evict
+        // a's L0 node; the refetch reaches the replayed L1 node.
+        let sets = (COUNTER_CACHE_LINES / COUNTER_CACHE_WAYS) as u64;
+        let stride = sets.max(coverage);
+        for k in 1..=COUNTER_CACHE_WAYS as u64 {
+            let victim = (l0a + k * stride) * coverage;
+            m.write(victim, [4u8; 64]).unwrap();
+            assert_eq!(m.read(victim).unwrap(), [4u8; 64]);
+        }
+        assert!(m.counter_cache.copy(0, l0a).is_none(), "a's L0 was evicted");
+        assert_eq!(m.read(a), Err(ReadError::MetadataTampered { level: 1 }));
+    }
+
+    #[test]
+    fn saturated_publish_drops_the_stale_copy() {
+        // Park L0 node 0's protecting counter at the 56-bit bound, so the
+        // next publish of that node is refused after its state moved.
+        let mut m = mem(PipelineKind::Rmcc);
+        m.write(0, [1u8; 64]).unwrap();
+        m.write(1, [2u8; 64]).unwrap();
+        let (parent_level, parent_idx) = m.layout().parent_loc(0, 0).unwrap();
+        m.meta.relevel(parent_level, parent_idx, COUNTER_MAX);
+        m.rebuild();
+        assert_eq!(m.read(0).unwrap(), [1u8; 64], "caches L0 node 0");
+        assert!(matches!(
+            m.write(1, [3u8; 64]),
+            Err(WriteError::CounterSaturated { .. })
+        ));
+        // Node 0's image now lags its trusted state: the uncached walk
+        // reports it, and the cached engine must not serve a hit instead.
+        assert!(m.counter_cache.copy(0, 0).is_none());
+        assert_eq!(m.read(0), Err(ReadError::MetadataTampered { level: 0 }));
+    }
+
+    /// One step of the differential oracle's operation stream.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Write(u64, u8),
+        WriteBaseline(u64, u8),
+        Read(u64),
+        /// Reads every oracle block in order; the L0 nodes of the second
+        /// half outnumber a set's ways, so the sweep evicts.
+        Sweep,
+        TamperData(u64, usize, u8),
+        TamperMac(u64, u64),
+        SnapshotL0(u64),
+        ReplayL0,
+        ForgeL0(u64, usize),
+        Snapshot(u64),
+        Replay,
+        DataSnapshot(u64),
+        RestoreData,
+        Drop(u64),
+        Rebuild,
+    }
+
+    /// What one op returned, compared between the two engines.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Seen {
+        Read(Result<DataBlock, ReadError>),
+        Sweep(Vec<Result<DataBlock, ReadError>>),
+        Write(Result<(), WriteError>),
+        Tamper(Result<(), TamperError>),
+        Rebuild(RebuildReport),
+        Done,
+    }
+
+    /// How many blocks the oracle addresses.
+    const ORACLE_BLOCKS: u64 = 96;
+
+    /// The oracle's blocks: a hot range sharing a few L0 nodes, and blocks
+    /// whose L0 nodes all fall in one counter-cache set, so reads evict.
+    fn oracle_block(org: CounterOrg, sel: u64) -> u64 {
+        let sets = (COUNTER_CACHE_LINES / COUNTER_CACHE_WAYS) as u64;
+        if sel < 48 {
+            sel * 3
+        } else {
+            (sel - 48) * sets * org.coverage() as u64 + sel % 2
+        }
+    }
+
+    fn oracle_op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let block = || 0..ORACLE_BLOCKS;
+        prop_oneof![
+            (block(), any::<u8>()).prop_map(|(b, v)| Op::Write(b, v)),
+            (block(), any::<u8>()).prop_map(|(b, v)| Op::Write(b, v)),
+            (block(), any::<u8>()).prop_map(|(b, v)| Op::WriteBaseline(b, v)),
+            block().prop_map(Op::Read),
+            block().prop_map(Op::Read),
+            block().prop_map(Op::Read),
+            block().prop_map(Op::Read),
+            block().prop_map(Op::Read),
+            block().prop_map(Op::Read),
+            block().prop_map(Op::Read),
+            block().prop_map(Op::Read),
+            Just(Op::Sweep),
+            (block(), 0usize..64, 1u8..=255).prop_map(|(b, o, m)| Op::TamperData(b, o, m)),
+            (block(), 1u64..=u64::MAX).prop_map(|(b, m)| Op::TamperMac(b, m)),
+            block().prop_map(Op::SnapshotL0),
+            Just(Op::ReplayL0),
+            (block(), 0usize..3).prop_map(|(b, v)| Op::ForgeL0(b, v)),
+            block().prop_map(Op::Snapshot),
+            Just(Op::Replay),
+            block().prop_map(Op::DataSnapshot),
+            Just(Op::RestoreData),
+            block().prop_map(Op::Drop),
+            Just(Op::Rebuild),
+        ]
+    }
+
+    /// A constant strategy (the compat shim has no `Just`).
+    struct Just(Op);
+    impl proptest::strategy::Strategy for Just {
+        type Value = Op;
+        fn sample(&self, _: &mut proptest::test_runner::TestRng) -> Op {
+            self.0
+        }
+    }
+
+    /// One engine under the oracle, with the attacker's captured images.
+    struct Rig {
+        mem: SecureMemory,
+        node: Option<NodeSnapshot>,
+        replay: Option<ReplaySnapshot>,
+        data: Option<DataSnapshot>,
+    }
+
+    impl Rig {
+        /// An engine with every oracle block written once, so reads walk
+        /// from the first op on.
+        fn new(org: CounterOrg, kind: PipelineKind, saturating: bool) -> Self {
+            let policy: Box<dyn CounterUpdatePolicy> = if saturating {
+                Box::new(SaturatingPolicy)
+            } else {
+                Box::new(IncrementPolicy)
+            };
+            let mut mem = SecureMemory::with_policy(org, 1 << 25, kind, 99, policy);
+            for sel in 0..ORACLE_BLOCKS {
+                mem.write_baseline(oracle_block(org, sel), [sel as u8; 64])
+                    .unwrap();
+            }
+            Rig {
+                mem,
+                node: None,
+                replay: None,
+                data: None,
+            }
+        }
+
+        /// Applies `op`; with `flush`, every read starts from an empty
+        /// counter cache and so walks to the on-chip root.
+        fn apply(&mut self, op: Op, flush: bool) -> Seen {
+            let org = self.mem.meta.org();
+            let block = |sel| oracle_block(org, sel);
+            let l0 = |mem: &SecureMemory, sel| mem.layout().l0_index(block(sel));
+            let m = &mut self.mem;
+            match op {
+                Op::Write(b, v) => Seen::Write(m.write(block(b), [v; 64])),
+                Op::WriteBaseline(b, v) => Seen::Write(m.write_baseline(block(b), [v; 64])),
+                Op::Read(b) => {
+                    if flush {
+                        m.flush_counter_cache();
+                    }
+                    Seen::Read(m.read(block(b)))
+                }
+                Op::Sweep => Seen::Sweep(
+                    (0..ORACLE_BLOCKS)
+                        .map(|b| {
+                            if flush {
+                                m.flush_counter_cache();
+                            }
+                            m.read(block(b))
+                        })
+                        .collect(),
+                ),
+                Op::TamperData(b, o, mask) => Seen::Tamper(m.tamper_data(block(b), o, mask)),
+                Op::TamperMac(b, mask) => Seen::Tamper(m.tamper_mac(block(b), mask)),
+                Op::SnapshotL0(b) => {
+                    let snap = m.snapshot_node(0, l0(m, b));
+                    let seen = Seen::Tamper(snap.as_ref().map(|_| ()).map_err(|e| *e));
+                    self.node = snap.ok().or(self.node.take());
+                    seen
+                }
+                Op::ReplayL0 => {
+                    if let Some(snap) = &self.node {
+                        m.replay_node(snap);
+                    }
+                    Seen::Done
+                }
+                Op::ForgeL0(b, which) => {
+                    let value = [1, m.observed_max() + 1, COUNTER_MAX][which];
+                    Seen::Tamper(m.forge_node_counters(0, l0(m, b), value))
+                }
+                Op::Snapshot(b) => {
+                    let snap = m.snapshot(block(b));
+                    let seen = Seen::Tamper(snap.as_ref().map(|_| ()).map_err(|e| *e));
+                    self.replay = snap.ok().or(self.replay.take());
+                    seen
+                }
+                Op::Replay => match &self.replay {
+                    Some(snap) => Seen::Tamper(m.replay(snap)),
+                    None => Seen::Done,
+                },
+                Op::DataSnapshot(b) => {
+                    let snap = m.data_snapshot(block(b));
+                    let seen = Seen::Tamper(snap.map(|_| ()));
+                    self.data = snap.ok().or(self.data.take());
+                    seen
+                }
+                Op::RestoreData => {
+                    if let Some(snap) = &self.data {
+                        m.restore_data(snap);
+                    }
+                    Seen::Done
+                }
+                Op::Drop(b) => Seen::Tamper(m.drop_stored(block(b))),
+                Op::Rebuild => Seen::Rebuild(m.rebuild()),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(10))]
+        #[test]
+        fn counter_cache_matches_the_uncached_walk(
+            ops in proptest::collection::vec(oracle_op(), 20..160),
+            saturating in proptest::arbitrary::any::<bool>(),
+        ) {
+            for org in [CounterOrg::Mono8, CounterOrg::Sc64, CounterOrg::Morphable128] {
+                for kind in [PipelineKind::Sgx, PipelineKind::Rmcc] {
+                    let mut cached = Rig::new(org, kind, saturating);
+                    let mut twin = Rig::new(org, kind, saturating);
+                    for &op in &ops {
+                        let expect = twin.apply(op, true);
+                        proptest::prop_assert_eq!(
+                            cached.apply(op, false),
+                            expect,
+                            "{:?} {:?} {:?}",
+                            org,
+                            kind,
+                            op
+                        );
+                    }
+                    proptest::prop_assert_eq!(cached.mem.state_digest(), twin.mem.state_digest());
+                    proptest::prop_assert!(
+                        twin.mem.crypto_stats().aes_paid >= cached.mem.crypto_stats().aes_paid
+                    );
+                }
+            }
+        }
     }
 
     #[test]

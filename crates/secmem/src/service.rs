@@ -50,6 +50,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread;
 
+use rmcc_cache::set_assoc::CacheStats;
 use rmcc_crypto::aes::Backend;
 use rmcc_crypto::mac::DataBlock;
 use rmcc_crypto::stats::CryptoStats;
@@ -878,23 +879,6 @@ impl SecureMemoryService {
         }
     }
 
-    /// Host-forced degradation: subsequent writes take the full-AES
-    /// baseline path until the shard recovers. Returns whether the shard
-    /// exists and has a monitor to transition.
-    pub fn force_degraded(&self, shard: usize) -> bool {
-        let Some(slot) = self.shards.get(shard) else {
-            return false;
-        };
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        match guard.monitor.as_mut() {
-            Some(mon) => {
-                mon.degrade();
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Host-driven immediate rebuild, bypassing the epoch-counted backoff:
     /// runs the rebuild pass and the policy reset under the shard lock and
     /// readmits the shard if the report is clean. `None` for an
@@ -928,6 +912,18 @@ impl SecureMemoryService {
             .map(|slot| {
                 let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
                 guard.mem.crypto_stats()
+            })
+            .collect()
+    }
+
+    /// On-chip counter-cache tallies ([`SecureMemory::counter_cache_stats`]),
+    /// one per shard in shard order.
+    pub fn counter_cache_stats(&self) -> Vec<CacheStats> {
+        self.shards
+            .iter()
+            .map(|slot| {
+                let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                guard.mem.counter_cache_stats()
             })
             .collect()
     }
@@ -1082,6 +1078,28 @@ mod tests {
     }
 
     #[test]
+    fn counter_cache_stats_are_per_shard_engine_tallies() {
+        let svc = SecureMemoryService::new(&ServiceConfig::new(3, 1 << 20));
+        let snap = svc.snapshot();
+        let write = [Access::Write {
+            block: 0,
+            data: block_of(7),
+        }];
+        let read = [Access::Read { block: 0 }];
+        svc.submit(&write);
+        svc.submit(&read);
+        svc.submit(&read);
+        let stats = svc.counter_cache_stats();
+        assert_eq!(stats.len(), snap.shards());
+        let owner = snap.shard_of(0);
+        for (shard, s) in stats.iter().enumerate() {
+            let engine = svc.with_shard(shard, |mem| mem.counter_cache_stats());
+            assert_eq!(Some(*s), engine);
+            assert_eq!(s.hits > 0, shard == owner, "only the owner read twice");
+        }
+    }
+
+    #[test]
     fn per_entry_errors_do_not_fail_the_batch() {
         let svc = SecureMemoryService::new(&ServiceConfig::new(3, 1 << 20));
         let batch = vec![
@@ -1164,7 +1182,6 @@ mod tests {
         assert_eq!(svc.health(0), None);
         assert_eq!(svc.health_stats(0), None);
         assert!(!svc.force_quarantine(0));
-        assert!(!svc.force_degraded(0));
         assert!(svc.try_rebuild(0).is_none());
         assert!(
             svc.shard_state_digest(0).is_some(),

@@ -2,7 +2,8 @@
 //!
 //! Plays the adversary with physical access that the paper's threat model
 //! assumes (a memory-bus probe, §II): spoofing ciphertext, forging MACs,
-//! and mounting a full replay — and shows each one being caught. Finishes
+//! mounting a full replay, and replaying a tree node above a counter block
+//! the memory controller has cached — and shows each one being caught. Finishes
 //! with the §IV-D1 empirical check that RMCC's truncated-clmul OTPs are as
 //! random as raw AES output.
 //!
@@ -55,6 +56,45 @@ fn main() {
         println!("  attacker forges the counter image to {forged}");
         report(mem.read(block));
     }
+
+    println!("\n=== Attack 5: replay a stale ancestor under a cached node ===");
+    // A read verifies the tree only up to the first node held in the
+    // on-chip counter cache, so a stale parent replayed above a cached
+    // counter block is caught when that block is evicted and refetched.
+    let mut mem = SecureMemory::new(CounterOrg::Morphable128, 1 << 26, PipelineKind::Rmcc, 99);
+    let latest = block_of(b"wire $1 to account 7731");
+    mem.write(block, block_of(b"wire $1,000,000 to account 7731"))
+        .expect("write within capacity");
+    let l0 = mem.layout().l0_index(block);
+    let parent = mem
+        .layout()
+        .parent_index(0, l0)
+        .expect("the parent node is in memory");
+    let stale = mem.snapshot_node(1, parent).expect("node is on the bus");
+    mem.write(block, latest).expect("write within capacity");
+    mem.read(block).expect("clean read");
+    println!("  victim reads the block, so its counter block is cached on-chip");
+    mem.replay_node(&stale);
+    println!("  attacker replays a stale copy of the parent node");
+    match mem.read(block) {
+        Ok(data) if data == latest => {
+            println!("  the cached counter block still serves the latest value")
+        }
+        other => report(other),
+    }
+    // Table I's counter cache has 64 sets of 32 ways. Counter blocks one
+    // parent node (128 counter blocks) apart share a set, so 32 reads under
+    // other parents push the victim's counter block out.
+    let stride = CounterOrg::Morphable128.tree_arity() as u64;
+    let evictions = 32;
+    for k in 1..=evictions {
+        let other = (l0 + k * stride) * CounterOrg::Morphable128.coverage() as u64;
+        mem.write(other, block_of(b"unrelated"))
+            .expect("write within capacity");
+        mem.read(other).expect("clean read");
+    }
+    println!("  {evictions} reads under other parent nodes evict the cached counter block");
+    report(mem.read(block));
 
     println!("\n=== §IV-D1: are RMCC's OTPs still random? ===");
     let keys = KeySet::from_master(7);
