@@ -272,14 +272,38 @@ impl SetAssocCache {
     /// Inserts `addr` without counting a normal access (used to model fills
     /// from lower levels or prefetches). Returns the victim, if any.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
+        self.fill_slot(addr, dirty).1
+    }
+
+    /// The slot (`set * ways + way`) holding `addr`, if resident. Like
+    /// [`SetAssocCache::probe`], changes no state. A line keeps its slot
+    /// from its fill until it is evicted or invalidated, so callers can key
+    /// per-line data by slot in a `capacity_lines()`-entry array.
+    pub fn slot_of(&self, addr: u64) -> Option<usize> {
+        let idx = self.set_index(addr);
+        let way = self.sets[idx]
+            .iter()
+            .position(|l| l.valid && l.tag == addr)?;
+        Some(idx * self.ways + way)
+    }
+
+    /// [`SetAssocCache::fill`], also reporting the slot (`set * ways +
+    /// way`) the line occupies afterwards: its own slot if it was already
+    /// resident, else the invalid or LRU way the fill took over.
+    pub fn fill_slot(&mut self, addr: u64, dirty: bool) -> (usize, Option<Eviction>) {
         self.clock += 1;
         let clock = self.clock;
         let idx = self.set_index(addr);
+        let base = idx * self.ways;
         let set = &mut self.sets[idx];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == addr) {
+        if let Some((way, line)) = set
+            .iter_mut()
+            .enumerate()
+            .find(|(_, l)| l.valid && l.tag == addr)
+        {
             line.last_use = clock;
             line.dirty |= dirty;
-            return None;
+            return (base + way, None);
         }
         let victim_idx = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
             set.iter()
@@ -303,7 +327,7 @@ impl SetAssocCache {
             dirty,
             last_use: clock,
         };
-        evicted
+        (base + victim_idx, evicted)
     }
 
     /// Iterates over all resident line addresses (diagnostics only).
@@ -453,6 +477,38 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_panics() {
         let _ = SetAssocCache::new(12, 2); // 6 sets
+    }
+
+    #[test]
+    fn resident_tag_keeps_its_slot_and_fills_report_the_slot_reused() {
+        // 2 sets × 2 ways; even addresses share set 0 (slots 0 and 1).
+        let mut c = SetAssocCache::new(4, 2);
+        assert_eq!(c.slot_of(10), None);
+        assert_eq!(c.fill_slot(10, false), (0, None));
+        assert_eq!(c.fill_slot(20, false), (1, None));
+        assert_eq!(c.fill_slot(11, false), (2, None));
+        // LRU updates (hits, refills) leave a resident tag where it is.
+        assert!(c.lookup(10, false));
+        assert_eq!(c.access(10, true), AccessOutcome::Hit);
+        assert_eq!(c.fill_slot(20, false), (1, None));
+        assert_eq!(c.slot_of(10), Some(0));
+        assert_eq!(c.slot_of(20), Some(1));
+        // 10 is now LRU in set 0: a new tag takes over its slot.
+        let (slot, evicted) = c.fill_slot(30, false);
+        assert_eq!(slot, 0);
+        assert_eq!(
+            evicted,
+            Some(Eviction {
+                addr: 10,
+                dirty: true
+            })
+        );
+        assert_eq!(c.slot_of(30), Some(0));
+        assert_eq!(c.slot_of(10), None);
+        // An invalidated way is the next fill's slot.
+        c.invalidate(20);
+        assert_eq!(c.fill_slot(40, false), (1, None));
+        assert_eq!(c.slot_of(11), Some(2));
     }
 
     #[test]

@@ -162,6 +162,11 @@ impl CounterBlock {
             .saturating_add(self.minors.iter().copied().max().unwrap_or(0))
     }
 
+    /// Heap bytes this block owns: its minor-counter vector.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.minors.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Iterates over all encoded values.
     pub fn values(&self) -> impl Iterator<Item = u64> + '_ {
         self.minors

@@ -228,10 +228,12 @@ const COUNTER_CACHE_WAYS: usize = 32;
 struct CounterCache {
     /// Tags and LRU state, keyed by node line address (`node_addr >> 6`).
     tags: SetAssocCache,
-    /// `copies[level]` holds the verified image of every resident node at
-    /// that level, keyed by node index like `SecureMemory::nodes`. A copy
-    /// exists exactly when its line is resident.
-    copies: Vec<PagedArena<StoredNode>>,
+    /// `copies[slot]` is the verified image of the node whose tag occupies
+    /// `slot` (`set * ways + way`) in `tags`: Table I's 128 KiB of lines
+    /// plus their MACs, allocated once. A fill overwrites the slot it takes
+    /// over, so an evicted line's copy goes with it, and the entry of a
+    /// vacant slot is never read.
+    copies: Box<[StoredNode]>,
     /// One lookup per tree level a read walk visits. Kept here rather than
     /// in `tags`, whose own tally would count a resident line whose DRAM
     /// image differs from its copy as a hit.
@@ -239,78 +241,71 @@ struct CounterCache {
 }
 
 impl CounterCache {
-    fn new(depth: usize) -> Self {
-        let mut copies = Vec::new();
-        copies.resize_with(depth, PagedArena::new);
+    fn new() -> Self {
+        let vacant = StoredNode {
+            image: [0; 64],
+            mac: 0,
+        };
         CounterCache {
             tags: SetAssocCache::new(COUNTER_CACHE_LINES, COUNTER_CACHE_WAYS),
-            copies,
+            copies: vec![vacant; COUNTER_CACHE_LINES].into_boxed_slice(),
             stats: CacheStats::default(),
         }
     }
 
-    fn copy(&self, level: usize, idx: u64) -> Option<&StoredNode> {
-        self.copies.get(level)?.get(idx)
+    /// The copy of line `line`, if the line is resident.
+    fn copy(&self, line: u64) -> Option<&StoredNode> {
+        self.copies.get(self.tags.slot_of(line)?)
     }
 
-    /// A read walk's lookup of node (`level`, `idx`), whose DRAM image is
-    /// `dram`. It hits only when the node's copy is resident and
+    /// A read walk's lookup of the node at line `line`, whose DRAM image
+    /// is `dram`. It hits only when the node's copy is resident and
     /// bit-identical to `dram`; a hit refreshes the line's LRU position.
-    fn lookup(
-        &mut self,
-        layout: &MetadataLayout,
-        level: usize,
-        idx: u64,
-        dram: Option<&StoredNode>,
-    ) -> bool {
+    fn lookup(&mut self, line: u64, dram: Option<&StoredNode>) -> bool {
         self.stats.accesses += 1;
-        let hit = dram.is_some() && self.copy(level, idx) == dram;
+        let hit = dram.is_some() && self.copy(line) == dram;
         if hit {
             self.stats.hits += 1;
-            self.tags.lookup(layout.node_addr(level, idx) >> 6, false);
+            self.tags.lookup(line, false);
         } else {
             self.stats.misses += 1;
         }
         hit
     }
 
-    /// Installs the just-verified `node` as (`level`, `idx`)'s copy and
-    /// drops the copy of whatever line the fill evicts.
-    fn fill(&mut self, layout: &MetadataLayout, level: usize, idx: u64, node: StoredNode) {
-        if let Some(victim) = self.tags.fill(layout.node_addr(level, idx) >> 6, false) {
-            if let Some((vl, vi)) = layout.locate(victim.addr << 6) {
-                if let Some(copies) = self.copies.get_mut(vl) {
-                    copies.remove(vi);
-                }
-            }
-        }
-        if let Some(copies) = self.copies.get_mut(level) {
-            copies.insert(idx, node);
-        }
-    }
-
-    /// Replaces (`level`, `idx`)'s copy if its line is resident.
-    fn update(&mut self, level: usize, idx: u64, node: StoredNode) {
-        if let Some(copy) = self.copies.get_mut(level).and_then(|c| c.get_mut(idx)) {
+    /// Installs the just-verified `node` as line `line`'s copy, in the slot
+    /// the fill gives it (a victim's copy is overwritten there).
+    fn fill(&mut self, line: u64, node: StoredNode) {
+        let (slot, _victim) = self.tags.fill_slot(line, false);
+        if let Some(copy) = self.copies.get_mut(slot) {
             *copy = node;
         }
     }
 
-    /// Drops (`level`, `idx`)'s line and copy.
-    fn invalidate(&mut self, layout: &MetadataLayout, level: usize, idx: u64) {
-        if let Some(copies) = self.copies.get_mut(level) {
-            if copies.remove(idx).is_some() {
-                self.tags.invalidate(layout.node_addr(level, idx) >> 6);
-            }
+    /// Replaces line `line`'s copy if the line is resident.
+    fn update(&mut self, line: u64, node: StoredNode) {
+        if let Some(copy) = self
+            .tags
+            .slot_of(line)
+            .and_then(|slot| self.copies.get_mut(slot))
+        {
+            *copy = node;
         }
+    }
+
+    /// Drops line `line` and its copy.
+    fn invalidate(&mut self, line: u64) {
+        self.tags.invalidate(line);
+    }
+
+    /// Bytes held for node copies.
+    fn footprint_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.copies)
     }
 
     /// Drops every line; the statistics are kept.
     fn clear(&mut self) {
-        *self = CounterCache {
-            stats: self.stats,
-            ..CounterCache::new(self.copies.len())
-        };
+        self.tags = SetAssocCache::new(COUNTER_CACHE_LINES, COUNTER_CACHE_WAYS);
     }
 }
 
@@ -479,18 +474,24 @@ impl SecureMemory {
             PipelineKind::Rmcc => (Box::new(RmccOtp::new(keys)), CryptoCost::rmcc_block()),
         };
         let meta = MetadataState::new(org, data_bytes, InitPolicy::Zero);
-        let mut nodes = Vec::new();
-        nodes.resize_with(meta.layout().depth(), PagedArena::new);
-        let counter_cache = CounterCache::new(meta.layout().depth());
+        // One page per L0 region (data) or per parent node (tree levels).
+        let layout = meta.layout();
+        let data = PagedArena::new(
+            org.coverage(),
+            layout.level_count(0) * org.coverage() as u64,
+        );
+        let nodes = (0..layout.depth())
+            .map(|level| PagedArena::new(org.tree_arity(), layout.level_count(level)))
+            .collect();
         SecureMemory {
             meta,
             pipeline,
             pad_cost,
             mac_keys: MacKeys::from_seed(key_seed ^ 0x6d61_6373),
             policy,
-            data: PagedArena::new(),
+            data,
             nodes,
-            counter_cache,
+            counter_cache: CounterCache::new(),
             backend,
             overflow_reencryptions: 0,
             crypto: CryptoStats::new(),
@@ -505,12 +506,25 @@ impl SecureMemory {
         self.nodes.get(level)?.get(index)
     }
 
-    /// Stores an untrusted node image. Levels outside the tree are ignored
+    /// Stores a data block's untrusted image. Blocks outside the layout are
+    /// ignored: the write path checks the layout first, and an attacker
+    /// cannot place an image where no address reaches.
+    fn store_data(&mut self, block: u64, data: StoredData) {
+        let _ = self.data.insert(block, data);
+    }
+
+    /// Stores an untrusted node image. Nodes outside the tree are ignored
     /// (no reachable caller produces one).
     fn store_node(&mut self, level: usize, index: u64, node: StoredNode) {
         if let Some(arena) = self.nodes.get_mut(level) {
-            arena.insert(index, node);
+            let _ = arena.insert(index, node);
         }
+    }
+
+    /// The line address (`node_addr >> 6`) of node (`level`, `index`): its
+    /// counter-cache tag and its pad address.
+    fn node_line(&self, level: usize, index: u64) -> u64 {
+        self.meta.layout().node_addr(level, index) >> 6
     }
 
     /// The OTP pipeline's diagnostic name.
@@ -584,6 +598,22 @@ impl SecureMemory {
         self.counter_cache.stats
     }
 
+    /// Bytes this engine holds for its state, counted from the structures
+    /// rather than measured: the data, node and counter arenas (directories
+    /// and materialized pages), the counter blocks' minor vectors and the
+    /// counter cache's node copies. Deterministic for a given access
+    /// history, so it can be compared across runs and builds.
+    pub fn footprint_bytes(&self) -> u64 {
+        let nodes: usize = self.nodes.iter().map(PagedArena::footprint_bytes).sum();
+        let parts = [
+            self.meta.footprint_bytes(),
+            self.data.footprint_bytes(),
+            nodes,
+            self.counter_cache.footprint_bytes(),
+        ];
+        parts.iter().sum::<usize>() as u64
+    }
+
     /// Empties the counter cache, so the next read walks to the on-chip
     /// root: the uncached reference the differential oracle compares with.
     #[cfg(test)]
@@ -609,6 +639,10 @@ impl SecureMemory {
     }
 
     /// The current write counter of `block` (trusted view).
+    ///
+    /// # Panics
+    ///
+    /// Panics when no L0 counter block of the layout covers `block`.
     pub fn counter_of(&mut self, block: u64) -> u64 {
         self.meta.data_counter(block)
     }
@@ -697,7 +731,7 @@ impl SecureMemory {
                 let pads = self.pads_for(b, counter);
                 let cipher = xor_with_pads(&plaintext, &pads);
                 let mac = compute_mac(&self.mac_keys, &cipher, pads.mac);
-                self.data.insert(b, StoredData { cipher, mac });
+                self.store_data(b, StoredData { cipher, mac });
                 self.overflow_reencryptions += 1;
             }
             self.scratch_reencrypt = to_reencrypt;
@@ -706,7 +740,7 @@ impl SecureMemory {
         let pads = self.pads_for(block, counter);
         let cipher = xor_with_pads(&plaintext, &pads);
         let mac = compute_mac(&self.mac_keys, &cipher, pads.mac);
-        self.data.insert(block, StoredData { cipher, mac });
+        self.store_data(block, StoredData { cipher, mac });
         // The L0 counter block changed: publish its new image up the tree.
         let idx = self.meta.layout().l0_index(block);
         self.publish_node(0, idx)
@@ -727,11 +761,9 @@ impl SecureMemory {
         chain.clear();
         let mut next = Some((0, l0_idx));
         while let Some((level, idx)) = next {
+            let line = self.node_line(level, idx);
             let dram = self.nodes.get(level).and_then(|arena| arena.get(idx));
-            if self
-                .counter_cache
-                .lookup(self.meta.layout(), level, idx, dram)
-            {
+            if self.counter_cache.lookup(line, dram) {
                 break;
             }
             chain.push((level, idx));
@@ -747,8 +779,8 @@ impl SecureMemory {
         for &(level, idx) in chain.iter().rev() {
             if let Some(node) = self.stored_node(level, idx).copied() {
                 let counter = self.meta.node_counter(level, idx);
-                let addr = self.meta.layout().node_addr(level, idx) >> 6;
-                let mac_pad = self.mac_pad_for(addr, counter);
+                let line = self.node_line(level, idx);
+                let mac_pad = self.mac_pad_for(line, counter);
                 self.crypto.verify_mac();
                 // audit:allow(R5, reason = "the MAC verdict is the public accept/reject outcome; branching on it is the tamper-detection contract")
                 if !verify_mac(&self.mac_keys, &node.image, mac_pad, node.mac) {
@@ -762,8 +794,7 @@ impl SecureMemory {
                     outcome = Err(ReadError::MetadataTampered { level });
                     break;
                 }
-                self.counter_cache
-                    .fill(self.meta.layout(), level, idx, node);
+                self.counter_cache.fill(line, node);
             }
             // Nodes with no image were never written back; their state is
             // the trusted initial state.
@@ -814,15 +845,13 @@ impl SecureMemory {
         // image unpublished, so its on-chip copy is stale and must go.
         let current = self.meta.node_counter(level, idx);
         if current >= COUNTER_MAX {
-            self.counter_cache
-                .invalidate(self.meta.layout(), level, idx);
+            self.counter_cache.invalidate(self.node_line(level, idx));
             return Err(WriteError::CounterSaturated { counter: current });
         }
         if let Err(overflow) = self.meta.write_node_counter(level, idx, current + 1) {
             // Parent relevel: every sibling node image must be re-MACed.
             if overflow.min_relevel_target > COUNTER_MAX {
-                self.counter_cache
-                    .invalidate(self.meta.layout(), level, idx);
+                self.counter_cache.invalidate(self.node_line(level, idx));
                 return Err(WriteError::CounterSaturated { counter: current });
             }
             self.meta
@@ -850,12 +879,12 @@ impl SecureMemory {
     /// if one is resident.
     fn refresh_node_mac(&mut self, level: usize, idx: u64) {
         let counter = self.meta.node_counter(level, idx);
-        let addr = self.meta.layout().node_addr(level, idx) >> 6;
-        let mac_pad = self.mac_pad_for(addr, counter);
+        let line = self.node_line(level, idx);
+        let mac_pad = self.mac_pad_for(line, counter);
         let image = node_image(self.meta.block(level, idx));
         let mac = compute_mac(&self.mac_keys, &image, mac_pad);
         let node = StoredNode { image, mac };
-        self.counter_cache.update(level, idx, node);
+        self.counter_cache.update(line, node);
         self.store_node(level, idx, node);
     }
 
@@ -1042,7 +1071,7 @@ impl SecureMemory {
                 index: l0_idx,
             });
         }
-        self.data.insert(snapshot.block, snapshot.data);
+        self.store_data(snapshot.block, snapshot.data);
         self.store_node(0, l0_idx, snapshot.l0);
         // The attacker also rolls back the MC's decoded view of the counter
         // (they control the bus, so the MC will decode the stale image).
@@ -1120,9 +1149,10 @@ impl SecureMemory {
     /// Restores a stale data image *without* the counter image — models a
     /// dropped/suppressed data writeback: the counter advanced, the data
     /// did not. The stale ciphertext no longer verifies under the advanced
-    /// counter.
+    /// counter. A snapshot of a block outside this memory's layout restores
+    /// nothing.
     pub fn restore_data(&mut self, snapshot: &DataSnapshot) {
-        self.data.insert(snapshot.block, snapshot.data);
+        self.store_data(snapshot.block, snapshot.data);
     }
 
     /// Discards the stored image of `block` entirely — a dropped initial
@@ -1426,8 +1456,45 @@ mod tests {
             m.write(victim, [4u8; 64]).unwrap();
             assert_eq!(m.read(victim).unwrap(), [4u8; 64]);
         }
-        assert!(m.counter_cache.copy(0, l0a).is_none(), "a's L0 was evicted");
+        assert!(
+            m.counter_cache.copy(m.node_line(0, l0a)).is_none(),
+            "a's L0 was evicted"
+        );
         assert_eq!(m.read(a), Err(ReadError::MetadataTampered { level: 1 }));
+    }
+
+    #[test]
+    fn counter_cache_holds_table_one_node_copies() {
+        let org = CounterOrg::Morphable128;
+        let mut m = SecureMemory::new(org, 1 << 26, PipelineKind::Rmcc, 99);
+        let cache = &m.counter_cache;
+        assert_eq!(cache.copies.len(), COUNTER_CACHE_LINES);
+        assert_eq!(cache.copies.len(), cache.tags.capacity_lines());
+        // 2,048 lines of 64 B images (128 KiB) plus their 8 B MACs.
+        let on_chip = 128 * 1024 + 16 * 1024;
+        assert_eq!(cache.footprint_bytes(), on_chip);
+        // L0 nodes 64 apart share a set: one more than the set's ways
+        // forces fills into slots whose lines were evicted.
+        let sets = (COUNTER_CACHE_LINES / COUNTER_CACHE_WAYS) as u64;
+        let blocks: Vec<u64> = (0..=COUNTER_CACHE_WAYS as u64)
+            .map(|k| k * sets * org.coverage() as u64)
+            .collect();
+        for &block in &blocks {
+            m.write(block, [1u8; 64]).unwrap();
+            m.read(block).unwrap();
+        }
+        assert!(m.counter_cache.copy(m.node_line(0, 0)).is_none());
+        // Every node read last still hits on its copy, whichever slot the
+        // fill reused.
+        for &block in blocks.iter().rev().take(4) {
+            let before = m.counter_cache_stats();
+            assert_eq!(m.read(block).unwrap(), [1u8; 64]);
+            let after = m.counter_cache_stats();
+            assert_eq!(after.hits, before.hits + 1, "block {block}");
+            assert_eq!(after.misses, before.misses, "block {block}");
+        }
+        // Reads fill lines but never grow the on-chip state.
+        assert_eq!(m.counter_cache.footprint_bytes(), on_chip);
     }
 
     #[test]
@@ -1447,7 +1514,7 @@ mod tests {
         ));
         // Node 0's image now lags its trusted state: the uncached walk
         // reports it, and the cached engine must not serve a hit instead.
-        assert!(m.counter_cache.copy(0, 0).is_none());
+        assert!(m.counter_cache.copy(m.node_line(0, 0)).is_none());
         assert_eq!(m.read(0), Err(ReadError::MetadataTampered { level: 0 }));
     }
 

@@ -916,6 +916,18 @@ impl SecureMemoryService {
             .collect()
     }
 
+    /// Engine state bytes ([`SecureMemory::footprint_bytes`]), one per shard
+    /// in shard order.
+    pub fn footprint_bytes(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|slot| {
+                let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                guard.mem.footprint_bytes()
+            })
+            .collect()
+    }
+
     /// On-chip counter-cache tallies ([`SecureMemory::counter_cache_stats`]),
     /// one per shard in shard order.
     pub fn counter_cache_stats(&self) -> Vec<CacheStats> {

@@ -75,7 +75,8 @@ pub struct MetadataState {
     /// `levels[k]` holds the counter blocks at in-memory level `k`, indexed
     /// by node index; the last entry is the on-chip root. Arenas rather
     /// than hash maps: node indices are dense layout arithmetic, so lookup
-    /// is two pointer hops and steady-state access allocates nothing.
+    /// is two shifts and three loads, and steady-state access allocates
+    /// nothing. A page holds one parent's `tree_arity()` children.
     levels: Vec<PagedArena<CounterBlock>>,
     init: InitPolicy,
     /// Observed System Max Counter Value Register (§IV-D2): the largest
@@ -88,8 +89,11 @@ impl MetadataState {
     pub fn new(org: CounterOrg, data_bytes: u64, init: InitPolicy) -> Self {
         let layout = MetadataLayout::new(org, data_bytes);
         // depth() in-memory levels + 1 on-chip root level.
-        let mut levels = Vec::new();
-        levels.resize_with(layout.depth() + 1, PagedArena::new);
+        let levels = (0..layout.depth())
+            .map(|level| layout.level_count(level))
+            .chain(std::iter::once(1))
+            .map(|nodes| PagedArena::new(org.tree_arity(), nodes))
+            .collect();
         let max_observed = match init {
             InitPolicy::Zero => 0,
             // Randomized majors are drawn from [mean/2, 3*mean/2); minors
@@ -174,24 +178,37 @@ impl MetadataState {
 
     /// The counter block at `level` / `index`, materializing it on first
     /// touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the node lies outside the layout.
     pub fn block(&mut self, level: usize, index: u64) -> &CounterBlock {
         self.block_mut(level, index)
     }
 
     /// # Panics
     ///
-    /// Panics when `level` exceeds the tree depth. Every public entry point
-    /// derives `level` from the layout, so an out-of-range level here is a
-    /// caller bug, not a reachable state.
-    // audit:allow(R1, scope = fn, reason = "level bounds are this accessor's documented panic contract")
-    #[allow(clippy::indexing_slicing)]
+    /// Panics when `level` exceeds the tree depth or `index` the level's
+    /// node count. Every public entry point derives both from the layout,
+    /// so an out-of-range node here is a caller bug, not a reachable state.
+    // audit:allow(R1, scope = fn, reason = "level/index bounds are this accessor's documented panic contract")
+    #[allow(clippy::expect_used)]
     fn block_mut(&mut self, level: usize, index: u64) -> &mut CounterBlock {
         let org = self.layout.org();
         let init = self.init;
-        self.levels[level].get_or_insert_with(index, || Self::materialize(org, init, level, index))
+        self.levels
+            .get_mut(level)
+            .and_then(|arena| {
+                arena.get_or_insert_with(index, || Self::materialize(org, init, level, index))
+            })
+            .expect("counter block outside the layout")
     }
 
     /// The write counter of data block `data_block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no L0 counter block of the layout covers `data_block`.
     pub fn data_counter(&mut self, data_block: u64) -> u64 {
         let idx = self.layout.l0_index(data_block);
         let slot = self.layout.l0_slot(data_block);
@@ -297,6 +314,18 @@ impl MetadataState {
     /// Number of counter blocks materialized at `level` (diagnostics).
     pub fn touched_blocks(&self, level: usize) -> usize {
         self.levels.get(level).map_or(0, PagedArena::len)
+    }
+
+    /// Bytes this state owns on the heap: every level's arena plus the
+    /// minor-counter vectors of the materialized blocks.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        self.levels
+            .iter()
+            .map(|arena| {
+                arena.footprint_bytes()
+                    + arena.values().map(CounterBlock::heap_bytes).sum::<usize>()
+            })
+            .sum()
     }
 
     /// Order-sensitive digest of every materialized counter block (all
