@@ -4,10 +4,9 @@
 //! cargo run --release -p rmcc-bench --bin probe [tiny|small|full] [workload]
 //! ```
 
-use rmcc_bench::scale_from;
+use rmcc_bench::{scale_from, workload_from};
 use rmcc_sim::config::{Scheme, SystemConfig};
 use rmcc_sim::detailed::run_detailed;
-use rmcc_workloads::workload::Workload;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,11 +17,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let name = args.get(1).map(String::as_str).unwrap_or("canneal");
-    let workload = Workload::ALL
-        .into_iter()
-        .find(|w| w.name().eq_ignore_ascii_case(name))
-        .unwrap_or(Workload::Canneal);
+    let workload = match workload_from(args.get(1).map(String::as_str)) {
+        Ok(workload) => workload,
+        Err(err) => {
+            eprintln!("probe: {err}");
+            std::process::exit(2);
+        }
+    };
     eprintln!("probe: {workload} @ {scale}");
     let non = run_detailed(
         workload,

@@ -15,7 +15,7 @@
 #![deny(missing_docs)]
 
 use rmcc_sim::experiments::{serving_scenarios, table1, Experiments, Series};
-use rmcc_workloads::workload::Scale;
+use rmcc_workloads::workload::{Scale, Workload};
 
 /// Parses a scale name, defaulting to `tiny`.
 ///
@@ -30,6 +30,25 @@ pub fn scale_from(arg: Option<&str>) -> Result<Scale, String> {
             "unknown scale {other:?} (valid scales: tiny, small, full)"
         )),
     }
+}
+
+/// Parses a workload name (case-insensitive), defaulting to `canneal`.
+///
+/// Unknown names are an error listing every valid workload, for the same
+/// reason as [`scale_from`]: a typo like `"cannel"` must not quietly run a
+/// different workload.
+pub fn workload_from(arg: Option<&str>) -> Result<Workload, String> {
+    let name = arg.unwrap_or("canneal");
+    Workload::ALL
+        .into_iter()
+        .find(|w| w.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| {
+            let valid: Vec<&str> = Workload::ALL.iter().map(|w| w.name()).collect();
+            format!(
+                "unknown workload {name:?} (valid workloads: {})",
+                valid.join(", ")
+            )
+        })
 }
 
 /// Every figure id this harness knows, in paper order; `serving` is the
@@ -127,6 +146,27 @@ mod tests {
                 err.contains("tiny") && err.contains("small") && err.contains("full"),
                 "error lists the valid scales: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn workload_parsing() {
+        assert_eq!(workload_from(None), Ok(Workload::Canneal));
+        assert_eq!(workload_from(Some("mcf")), Ok(Workload::Mcf));
+        assert_eq!(workload_from(Some("pagerank")), Ok(Workload::PageRank));
+    }
+
+    #[test]
+    fn workload_typos_are_rejected_with_the_valid_names() {
+        for typo in ["cannel", "mfc", "page_rank", ""] {
+            let err = workload_from(Some(typo)).expect_err("typo must not map to a workload");
+            assert!(
+                err.contains(&format!("{typo:?}")),
+                "error names the offender: {err}"
+            );
+            for w in Workload::ALL {
+                assert!(err.contains(w.name()), "error lists {}: {err}", w.name());
+            }
         }
     }
 

@@ -6,7 +6,10 @@
 //! lifetime studies model "1MB L2 cache, 2MB LLC and 32KB counter cache per
 //! core" (§V) and the gem5 runs use 32/64 KB L1, 1 MB L2, 8 MB L3 (Table I).
 
-use crate::set_assoc::{CacheStats, SetAssocCache};
+use crate::set_assoc::{CacheStats, SetAssocCache, LINE_BYTES};
+
+/// `log2(LINE_BYTES)`: byte address → line address.
+const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
 
 /// Cache levels in the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,8 +50,6 @@ pub struct HierarchyConfig {
     pub l2: LevelConfig,
     /// LLC geometry.
     pub l3: LevelConfig,
-    /// Line size in bytes (64 throughout the paper).
-    pub line_bytes: usize,
 }
 
 impl HierarchyConfig {
@@ -68,7 +69,6 @@ impl HierarchyConfig {
                 bytes: 8 << 20,
                 ways: 16,
             },
-            line_bytes: 64,
         }
     }
 
@@ -88,14 +88,7 @@ impl HierarchyConfig {
                 bytes: 2 << 20,
                 ways: 16,
             },
-            line_bytes: 64,
         }
-    }
-}
-
-impl Default for HierarchyConfig {
-    fn default() -> Self {
-        Self::gem5_table1()
     }
 }
 
@@ -138,7 +131,6 @@ pub struct Hierarchy {
     l1: SetAssocCache,
     l2: SetAssocCache,
     l3: SetAssocCache,
-    line_shift: u32,
 }
 
 impl Hierarchy {
@@ -149,16 +141,15 @@ impl Hierarchy {
     /// Panics if any level's set count is not a power of two.
     pub fn new(config: HierarchyConfig) -> Self {
         Hierarchy {
-            l1: SetAssocCache::with_capacity(config.l1.bytes, config.line_bytes, config.l1.ways),
-            l2: SetAssocCache::with_capacity(config.l2.bytes, config.line_bytes, config.l2.ways),
-            l3: SetAssocCache::with_capacity(config.l3.bytes, config.line_bytes, config.l3.ways),
-            line_shift: config.line_bytes.trailing_zeros(),
+            l1: SetAssocCache::with_capacity(config.l1.bytes, config.l1.ways),
+            l2: SetAssocCache::with_capacity(config.l2.bytes, config.l2.ways),
+            l3: SetAssocCache::with_capacity(config.l3.bytes, config.l3.ways),
         }
     }
 
     /// Accesses a *byte* address, extracting the line address internally.
     pub fn access_bytes(&mut self, byte_addr: u64, is_write: bool) -> HierarchyOutcome {
-        self.access(byte_addr >> self.line_shift, is_write)
+        self.access(byte_addr >> LINE_SHIFT, is_write)
     }
 
     /// Accesses a *line* address.
@@ -256,7 +247,6 @@ mod tests {
                 bytes: 64 * 64,
                 ways: 8,
             },
-            line_bytes: 64,
         })
     }
 
@@ -342,6 +332,5 @@ mod tests {
     fn table1_and_lifetime_configs_construct() {
         let _ = Hierarchy::new(HierarchyConfig::gem5_table1());
         let _ = Hierarchy::new(HierarchyConfig::pintool_lifetime());
-        assert_eq!(HierarchyConfig::default(), HierarchyConfig::gem5_table1());
     }
 }

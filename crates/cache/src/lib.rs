@@ -29,5 +29,5 @@ pub mod set_assoc;
 pub mod tlb;
 
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyOutcome, Level, LevelConfig};
-pub use set_assoc::{AccessOutcome, CacheStats, Eviction, SetAssocCache};
+pub use set_assoc::{AccessOutcome, CacheStats, Eviction, SetAssocCache, LINE_BYTES};
 pub use tlb::{PageSize, Tlb};

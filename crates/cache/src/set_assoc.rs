@@ -7,6 +7,9 @@
 //! trace-driven cache models (the paper's Pin-based "lifetime" methodology)
 //! work.
 
+/// Line size in bytes (64 throughout the paper).
+pub const LINE_BYTES: usize = 64;
+
 /// Why an access missed or what it displaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
@@ -142,13 +145,13 @@ impl SetAssocCache {
         }
     }
 
-    /// Builds a cache from a capacity in bytes and a line size in bytes.
+    /// Builds a cache of [`LINE_BYTES`] lines from a capacity in bytes.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`SetAssocCache::new`].
-    pub fn with_capacity(bytes: usize, line_bytes: usize, ways: usize) -> Self {
-        Self::new(bytes / line_bytes, ways)
+    pub fn with_capacity(bytes: usize, ways: usize) -> Self {
+        Self::new(bytes / LINE_BYTES, ways)
     }
 
     /// Number of ways per set.
@@ -467,7 +470,7 @@ mod tests {
 
     #[test]
     fn capacity_constructor() {
-        let c = SetAssocCache::with_capacity(128 * 1024, 64, 32);
+        let c = SetAssocCache::with_capacity(128 * 1024, 32);
         assert_eq!(c.capacity_lines(), 2048);
         assert_eq!(c.ways(), 32);
         assert_eq!(c.n_sets(), 64);

@@ -75,7 +75,6 @@ proptest! {
             l1: LevelConfig { bytes: 8 * 64, ways: 2 },
             l2: LevelConfig { bytes: 32 * 64, ways: 4 },
             l3: LevelConfig { bytes: 128 * 64, ways: 8 },
-            line_bytes: 64,
         };
         let mut h = Hierarchy::new(cfg);
         let mut seen = std::collections::HashSet::new();

@@ -36,7 +36,7 @@ impl AreaModel {
         let entries = cfg.total_entries();
         let table_bytes = entries * 32;
         // 64 16 B counters track group/evicted/candidate access rates.
-        let trackers = (cfg.n_groups + cfg.n_evicted + 32) as u64;
+        let trackers = (cfg.n_groups() + cfg.n_evicted() + 32) as u64;
         let tracking_bytes = trackers * 16;
         // 12 K XORs at 2 SRAM cells each + 16 K inverters at 0.5 each,
         // 1 cell ≈ 1 bit.

@@ -37,8 +37,6 @@ pub struct RmccConfig {
     /// Per-level traffic-overhead budget fraction (paper: 1% each for L0
     /// and L1, a 2% total — §VI).
     pub budget_fraction: f64,
-    /// Number of counter levels with tables.
-    pub levels: usize,
     /// Whether read requests with unmemoized counters also receive
     /// memoization-aware updates (§IV-C1). Disable for ablation.
     pub read_triggered: bool,
@@ -54,7 +52,6 @@ impl RmccConfig {
         RmccConfig {
             table: TableConfig::paper(),
             budget_fraction: 0.01,
-            levels: DEFAULT_LEVELS,
             read_triggered: true,
             epoch_accesses: crate::budget::EPOCH_ACCESSES,
         }
@@ -76,12 +73,6 @@ impl RmccConfig {
             table: TableConfig::with_group_size(group_size),
             ..Self::paper()
         }
-    }
-}
-
-impl Default for RmccConfig {
-    fn default() -> Self {
-        Self::paper()
     }
 }
 
@@ -141,14 +132,13 @@ impl Rmcc {
     /// Creates an engine with empty tables; groups bootstrap via the
     /// high-value monitors (or [`Rmcc::seed_group`]).
     pub fn new(cfg: RmccConfig) -> Self {
-        assert!(cfg.levels >= 1, "at least one counter level");
-        let levels = (0..cfg.levels)
+        let levels = (0..DEFAULT_LEVELS)
             .map(|_| LevelState {
                 table: MemoizationTable::new(cfg.table),
                 monitor: HighValueMonitor::new(0),
             })
             .collect();
-        let budgets = (0..cfg.levels)
+        let budgets = (0..DEFAULT_LEVELS)
             .map(|_| TrafficBudget::with_epoch(cfg.budget_fraction, cfg.epoch_accesses))
             .collect();
         Rmcc {
@@ -199,10 +189,10 @@ impl Rmcc {
         &self.levels[level].table
     }
 
-    /// Whether `level` has a memoization table (levels above
-    /// `config().levels - 1` fall back to baseline behaviour).
+    /// Whether `level` has a memoization table (levels from
+    /// [`DEFAULT_LEVELS`] up fall back to baseline behaviour).
     pub fn covers_level(&self, level: usize) -> bool {
-        level < self.cfg.levels
+        level < DEFAULT_LEVELS
     }
 
     /// Marks `value`'s memoized AES result at `level` as corrupted (fault
@@ -594,14 +584,14 @@ mod tests {
 
     #[test]
     fn uncovered_levels_use_baseline() {
-        let mut r = Rmcc::new(RmccConfig {
-            levels: 1,
-            ..RmccConfig::paper()
-        });
-        assert!(!r.covers_level(1));
-        assert_eq!(r.lookup(1, 42), LookupResult::Miss);
+        let mut r = Rmcc::new(RmccConfig::paper());
+        let above = DEFAULT_LEVELS;
+        r.seed_group(above, 40);
+        assert!(r.covers_level(above - 1));
+        assert!(!r.covers_level(above));
+        assert_eq!(r.lookup(above, 40), LookupResult::Miss);
         let mut cb = CounterBlock::new(CounterOrg::Morphable128);
-        let out = r.update_counter(1, &mut cb, 0, false).unwrap();
+        let out = r.update_counter(above, &mut cb, 0, false).unwrap();
         assert_eq!(out.new_value, 1);
     }
 

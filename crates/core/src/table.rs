@@ -10,31 +10,26 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-/// Table geometry.
+/// Memoized values per table: 16 groups × 8 values in the paper (Table I);
+/// §VI's group-size sweep keeps this total fixed.
+pub const TABLE_ENTRIES: u64 = 128;
+
+/// Most-recently-used individual values from evicted groups whose AES
+/// results stay memoized (§IV-C4; paper: 16).
+pub const N_MRU_VALUES: usize = 16;
+
+/// Table geometry: [`TABLE_ENTRIES`] values split into groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableConfig {
-    /// Live Memoized Counter Value Groups (paper: 16).
-    pub n_groups: usize,
     /// Consecutive counter values per group (paper: 8; §VI also evaluates 4
     /// and 16 at constant total entries).
     pub group_size: u64,
-    /// Recently evicted groups whose use counters are still tracked
-    /// (shadow tags; paper: 16).
-    pub n_evicted: usize,
-    /// Most-recently-used individual values from evicted groups whose AES
-    /// results stay memoized (§IV-C4; paper: 16).
-    pub n_mru_values: usize,
 }
 
 impl TableConfig {
     /// The paper's configuration: 128 entries as 16 groups of 8.
     pub fn paper() -> Self {
-        TableConfig {
-            n_groups: 16,
-            group_size: 8,
-            n_evicted: 16,
-            n_mru_values: 16,
-        }
+        TableConfig { group_size: 8 }
     }
 
     /// Same total entry count with a different group size (Figures 21/22).
@@ -42,29 +37,29 @@ impl TableConfig {
     /// # Panics
     ///
     /// Panics unless `group_size` divides 128.
-    #[allow(clippy::cast_possible_truncation)] // quotient of 128 fits any usize
     pub fn with_group_size(group_size: u64) -> Self {
         assert!(
-            group_size > 0 && 128 % group_size == 0,
+            group_size > 0 && TABLE_ENTRIES.is_multiple_of(group_size),
             "group size must divide 128"
         );
-        TableConfig {
-            n_groups: (128 / group_size) as usize,
-            group_size,
-            n_evicted: (128 / group_size) as usize,
-            n_mru_values: 16,
-        }
+        TableConfig { group_size }
+    }
+
+    /// Live Memoized Counter Value Groups (paper: 16).
+    #[allow(clippy::cast_possible_truncation)] // quotient of 128 fits any usize
+    pub fn n_groups(&self) -> usize {
+        (TABLE_ENTRIES / self.group_size) as usize
+    }
+
+    /// Recently evicted groups whose use counters are still tracked
+    /// (shadow tags): as many as there are live groups (paper: 16).
+    pub fn n_evicted(&self) -> usize {
+        self.n_groups()
     }
 
     /// Total memoized values across live groups.
     pub fn total_entries(&self) -> u64 {
-        self.n_groups as u64 * self.group_size
-    }
-}
-
-impl Default for TableConfig {
-    fn default() -> Self {
-        Self::paper()
+        self.n_groups() as u64 * self.group_size
     }
 }
 
@@ -196,9 +191,9 @@ impl MemoizationTable {
     pub fn new(cfg: TableConfig) -> Self {
         MemoizationTable {
             cfg,
-            groups: Vec::with_capacity(cfg.n_groups),
-            evicted: VecDeque::with_capacity(cfg.n_evicted),
-            mru_values: VecDeque::with_capacity(cfg.n_mru_values),
+            groups: Vec::with_capacity(cfg.n_groups()),
+            evicted: VecDeque::with_capacity(cfg.n_evicted()),
+            mru_values: VecDeque::with_capacity(N_MRU_VALUES),
             poisoned: BTreeSet::new(),
             stats: TableStats::default(),
         }
@@ -330,7 +325,7 @@ impl MemoizationTable {
         {
             g.use_count += 1;
             self.mru_values.push_front(value);
-            self.mru_values.truncate(self.cfg.n_mru_values);
+            self.mru_values.truncate(N_MRU_VALUES);
             self.stats.mru_harvests += 1;
         }
         self.stats.misses += 1;
@@ -375,7 +370,7 @@ impl MemoizationTable {
             return;
         }
         self.stats.insertions += 1;
-        if self.groups.len() >= self.cfg.n_groups {
+        if self.groups.len() >= self.cfg.n_groups() {
             let lfu = self
                 .groups
                 .iter()
@@ -406,7 +401,7 @@ impl MemoizationTable {
     fn push_evicted(&mut self, g: Group) {
         // Drop stale MRU values that belonged to *live* coverage — they stay
         // valid (they are still memoized results), so nothing to do there.
-        if self.evicted.len() >= self.cfg.n_evicted {
+        if self.evicted.len() >= self.cfg.n_evicted() {
             self.evicted.pop_front();
         }
         self.evicted.push_back(g);
@@ -429,7 +424,7 @@ impl MemoizationTable {
         });
         pool.dedup_by_key(|g| g.0.start);
 
-        let mut keep = self.cfg.n_groups;
+        let mut keep = self.cfg.n_groups();
         if let Some(start) = new_group {
             if !pool.iter().take(keep).any(|g| g.0.start == start) {
                 keep -= 1;
@@ -479,10 +474,10 @@ mod tests {
         let c = TableConfig::paper();
         assert_eq!(c.total_entries(), 128);
         let c4 = TableConfig::with_group_size(4);
-        assert_eq!(c4.n_groups, 32);
+        assert_eq!(c4.n_groups(), 32);
         assert_eq!(c4.total_entries(), 128);
         let c16 = TableConfig::with_group_size(16);
-        assert_eq!(c16.n_groups, 8);
+        assert_eq!(c16.n_groups(), 8);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::config::{DramConfig, Ps};
+use crate::config::{
+    Ps, QUEUE_CAPACITY, RANKS, ROW_HIT_CAP, ROW_TIMEOUT, TOTAL_BANKS, T_BURST, T_CL, T_RCD, T_REFI,
+    T_RFC, T_RP,
+};
 use crate::mapping::AddressMapping;
 
 /// Read or write request.
@@ -151,9 +154,8 @@ struct BankState {
 ///
 /// ```
 /// use rmcc_dram::channel::{Channel, ReqKind, RowOutcome, TrafficClass};
-/// use rmcc_dram::config::DramConfig;
 ///
-/// let mut ch = Channel::new(DramConfig::table1());
+/// let mut ch = Channel::new();
 /// let first = ch.access(0, 0x1000, ReqKind::Read, TrafficClass::Data);
 /// // A back-to-back access to the same row is a row hit and faster.
 /// let second = ch.access(first.done, 0x1040, ReqKind::Read, TrafficClass::Data);
@@ -162,7 +164,6 @@ struct BankState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Channel {
-    cfg: DramConfig,
     map: AddressMapping,
     banks: Vec<BankState>,
     bus_free: Ps,
@@ -170,15 +171,15 @@ pub struct Channel {
     stats: DramStats,
 }
 
+impl Default for Channel {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Channel {
-    /// Creates a channel with all banks precharged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry in `cfg` is not power-of-two (see
-    /// [`AddressMapping::new`]).
-    pub fn new(cfg: DramConfig) -> Self {
-        let map = AddressMapping::new(&cfg);
+    /// Creates a Table I channel with all banks precharged.
+    pub fn new() -> Self {
         let banks = vec![
             BankState {
                 open_row: None,
@@ -186,21 +187,15 @@ impl Channel {
                 last_use: 0,
                 hit_streak: 0
             };
-            cfg.total_banks()
+            TOTAL_BANKS
         ];
         Channel {
-            cfg,
-            map,
+            map: AddressMapping::new(),
             banks,
             bus_free: 0,
             outstanding: BinaryHeap::new(),
             stats: DramStats::default(),
         }
-    }
-
-    /// The configuration this channel models.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
     }
 
     /// Accumulated statistics.
@@ -226,7 +221,7 @@ impl Channel {
         while let Some(&Reverse(earliest)) = self.outstanding.peek() {
             if earliest <= start {
                 self.outstanding.pop();
-            } else if self.outstanding.len() >= self.cfg.queue_capacity {
+            } else if self.outstanding.len() >= QUEUE_CAPACITY {
                 start = earliest;
                 self.outstanding.pop();
             } else {
@@ -239,11 +234,10 @@ impl Channel {
 
         // Refresh: rank `r` refreshes for tRFC every tREFI, staggered across
         // ranks. An access landing inside the window waits it out.
-        let refi = self.cfg.t_refi;
-        let offset = refi / self.cfg.ranks as Ps * coord.rank as Ps;
-        let phase = (start + refi - (offset % refi)) % refi;
-        if phase < self.cfg.t_rfc {
-            start += self.cfg.t_rfc - phase;
+        let offset = T_REFI / RANKS as Ps * coord.rank as Ps;
+        let phase = (start + T_REFI - (offset % T_REFI)) % T_REFI;
+        if phase < T_RFC {
+            start += T_RFC - phase;
         }
 
         let bank = &mut self.banks[flat];
@@ -251,8 +245,8 @@ impl Channel {
 
         // Row-buffer state, honoring the 500 ns timeout policy and the
         // FR-FCFS row-hit cap.
-        let timed_out = start.saturating_sub(bank.last_use) > self.cfg.row_timeout;
-        let capped = bank.hit_streak >= self.cfg.row_hit_cap;
+        let timed_out = start.saturating_sub(bank.last_use) > ROW_TIMEOUT;
+        let capped = bank.hit_streak >= ROW_HIT_CAP;
         let effective_row = if timed_out || capped {
             None
         } else {
@@ -264,14 +258,14 @@ impl Channel {
             None => RowOutcome::Closed,
         };
         let array_latency = match outcome {
-            RowOutcome::Hit => self.cfg.t_cl,
-            RowOutcome::Closed => self.cfg.t_rcd + self.cfg.t_cl,
-            RowOutcome::Conflict => self.cfg.t_rp + self.cfg.t_rcd + self.cfg.t_cl,
+            RowOutcome::Hit => T_CL,
+            RowOutcome::Closed => T_RCD + T_CL,
+            RowOutcome::Conflict => T_RP + T_RCD + T_CL,
         };
 
         // Serialize the data burst on the shared bus.
         let data_start = (start + array_latency).max(self.bus_free);
-        let done = data_start + self.cfg.t_burst;
+        let done = data_start + T_BURST;
         self.bus_free = done;
 
         bank.open_row = Some(coord.row);
@@ -295,7 +289,7 @@ impl Channel {
         }
         let cs = &mut self.stats.classes[class.index()];
         cs.requests += 1;
-        cs.bus_ps += self.cfg.t_burst;
+        cs.bus_ps += T_BURST;
 
         self.outstanding.push(Reverse(done));
         Completion {
@@ -309,10 +303,10 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ns;
+    use crate::config::{ns, ROW_BYTES};
 
     fn ch() -> Channel {
-        Channel::new(DramConfig::table1())
+        Channel::new()
     }
 
     #[test]
@@ -335,15 +329,14 @@ mod tests {
 
     #[test]
     fn conflict_pays_precharge() {
-        let cfg = DramConfig::table1();
-        let mut c = Channel::new(cfg.clone());
+        let mut c = ch();
         let a = c.access(0, 0, ReqKind::Read, TrafficClass::Data);
         // Same bank, different row: rows that map to the same bank are
         // found by scanning.
-        let map = AddressMapping::new(&cfg);
+        let map = AddressMapping::new();
         let base = map.decode(0);
         let conflict_addr = (1..1_000_000u64)
-            .map(|i| i * cfg.row_bytes)
+            .map(|i| i * ROW_BYTES)
             .find(|&addr| {
                 let d = map.decode(addr);
                 (d.rank, d.bank) == (base.rank, base.bank) && d.row != base.row
@@ -370,9 +363,8 @@ mod tests {
 
     #[test]
     fn hit_streak_cap_forces_closure() {
-        let cfg = DramConfig::table1();
-        let cap = cfg.row_hit_cap;
-        let mut c = Channel::new(cfg);
+        let cap = ROW_HIT_CAP;
+        let mut c = ch();
         let mut t = 0;
         let mut outcomes = Vec::new();
         for i in 0..(cap as u64 + 2) {
@@ -389,13 +381,12 @@ mod tests {
 
     #[test]
     fn bus_serializes_parallel_banks() {
-        let cfg = DramConfig::table1();
-        let mut c = Channel::new(cfg.clone());
+        let mut c = ch();
         // Two requests to different banks at the same instant cannot both
         // hold the data bus.
         let a = c.access(0, 0, ReqKind::Read, TrafficClass::Data);
-        let b = c.access(0, cfg.row_bytes, ReqKind::Read, TrafficClass::Data);
-        assert!(b.done >= a.done + cfg.t_burst || a.done >= b.done + cfg.t_burst);
+        let b = c.access(0, ROW_BYTES, ReqKind::Read, TrafficClass::Data);
+        assert!(b.done >= a.done + T_BURST || a.done >= b.done + T_BURST);
     }
 
     #[test]
@@ -426,13 +417,12 @@ mod tests {
 
     #[test]
     fn queue_backpressure_delays_floods() {
-        let cfg = DramConfig::table1();
-        let cap = cfg.queue_capacity;
-        let mut c = Channel::new(cfg.clone());
+        let cap = QUEUE_CAPACITY;
+        let mut c = ch();
         // Issue far more requests than the queue holds, all at t = 0.
         let mut last_start = 0;
         for i in 0..(cap as u64 * 2) {
-            let r = c.access(0, i * cfg.row_bytes, ReqKind::Read, TrafficClass::Data);
+            let r = c.access(0, i * ROW_BYTES, ReqKind::Read, TrafficClass::Data);
             last_start = last_start.max(r.start);
         }
         // Later requests must have been pushed past t = 0 by backpressure.
@@ -441,12 +431,11 @@ mod tests {
 
     #[test]
     fn refresh_window_delays_unlucky_access() {
-        let cfg = DramConfig::table1();
-        let mut c = Channel::new(cfg.clone());
+        let mut c = ch();
         // Rank 0's refresh window starts at multiples of tREFI. An access
         // issued right at that boundary must wait out tRFC.
-        let r = c.access(cfg.t_refi, 0, ReqKind::Read, TrafficClass::Data);
-        assert!(r.start >= cfg.t_refi + cfg.t_rfc - 1);
+        let r = c.access(T_REFI, 0, ReqKind::Read, TrafficClass::Data);
+        assert!(r.start >= T_REFI + T_RFC - 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! DDR4 timing and geometry configuration.
+//! DDR4 timing and geometry: the one channel of the RMCC paper's Table I.
 //!
-//! Defaults follow Table I of the RMCC paper: 128 GB DDR4 at 3.2 GT/s,
-//! tCL = tRCD = tRP = 13.75 ns, tRFC = 350 ns, one channel, eight ranks, a
-//! 500 ns open-row timeout, and 256-entry read/write queues.
+//! 128 GB DDR4 at 3.2 GT/s, tCL = tRCD = tRP = 13.75 ns, tRFC = 350 ns, one
+//! channel, eight ranks, a 500 ns open-row timeout, and 256-entry
+//! read/write queues. Every experiment uses this channel, so its values are
+//! constants.
 
 /// Simulation time unit: picoseconds. Integer picoseconds keep the model
 /// deterministic and hashable while resolving the paper's 13.75 ns timings
@@ -13,122 +14,80 @@ pub type Ps = u64;
 pub const PS_PER_NS: Ps = 1_000;
 
 /// Converts nanoseconds (possibly fractional) to picoseconds.
-pub fn ns(value: f64) -> Ps {
+pub const fn ns(value: f64) -> Ps {
     (value * PS_PER_NS as f64).round() as Ps
 }
 
-/// DDR4 channel configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DramConfig {
-    /// Column access strobe latency.
-    pub t_cl: Ps,
-    /// Row-to-column delay.
-    pub t_rcd: Ps,
-    /// Row precharge time.
-    pub t_rp: Ps,
-    /// Refresh cycle time (bank unavailable while refreshing).
-    pub t_rfc: Ps,
-    /// Average refresh interval per rank.
-    pub t_refi: Ps,
-    /// Time to burst one 64 B line over the data bus
-    /// (8 transfers at 3.2 GT/s on an 8-byte bus = 2.5 ns).
-    pub t_burst: Ps,
-    /// Open-row policy: a row left idle this long is considered precharged
-    /// in the background ("500ns timeout" row buffer policy, Table I).
-    pub row_timeout: Ps,
-    /// Number of ranks on the channel.
-    pub ranks: usize,
-    /// Banks per rank (DDR4: 4 bank groups × 4 banks).
-    pub banks_per_rank: usize,
-    /// Row size in bytes (8 KB typical for DDR4 x8 devices).
-    pub row_bytes: u64,
-    /// Combined read/write queue capacity.
-    pub queue_capacity: usize,
-    /// FR-FCFS-Capped: maximum consecutive row-buffer hits a bank may
-    /// service before the scheduler forces the row closed so older requests
-    /// make progress.
-    pub row_hit_cap: u32,
-}
+/// Column access strobe latency (Table I: 13.75 ns).
+pub const T_CL: Ps = ns(13.75);
 
-impl DramConfig {
-    /// Table I configuration.
-    pub fn table1() -> Self {
-        DramConfig {
-            t_cl: ns(13.75),
-            t_rcd: ns(13.75),
-            t_rp: ns(13.75),
-            t_rfc: ns(350.0),
-            t_refi: ns(7800.0),
-            t_burst: ns(2.5),
-            row_timeout: ns(500.0),
-            ranks: 8,
-            banks_per_rank: 16,
-            row_bytes: 8 << 10,
-            queue_capacity: 256,
-            row_hit_cap: 4,
-        }
-    }
+/// Row-to-column delay (Table I: 13.75 ns).
+pub const T_RCD: Ps = ns(13.75);
 
-    /// Total banks across all ranks.
-    pub fn total_banks(&self) -> usize {
-        self.ranks * self.banks_per_rank
-    }
+/// Row precharge time (Table I: 13.75 ns).
+pub const T_RP: Ps = ns(13.75);
 
-    /// Latency of a row-buffer hit (CAS + burst).
-    pub fn hit_latency(&self) -> Ps {
-        self.t_cl + self.t_burst
-    }
+/// Refresh cycle time, during which the bank is unavailable (Table I:
+/// 350 ns).
+pub const T_RFC: Ps = ns(350.0);
 
-    /// Latency when the bank has no open row (ACT + CAS + burst).
-    pub fn closed_latency(&self) -> Ps {
-        self.t_rcd + self.t_cl + self.t_burst
-    }
+/// Average refresh interval per rank.
+pub const T_REFI: Ps = ns(7800.0);
 
-    /// Latency of a row-buffer conflict (PRE + ACT + CAS + burst).
-    pub fn conflict_latency(&self) -> Ps {
-        self.t_rp + self.t_rcd + self.t_cl + self.t_burst
-    }
-}
+/// Time to burst one 64 B line over the data bus
+/// (8 transfers at 3.2 GT/s on an 8-byte bus = 2.5 ns).
+pub const T_BURST: Ps = ns(2.5);
 
-impl Default for DramConfig {
-    fn default() -> Self {
-        Self::table1()
-    }
-}
+/// Open-row policy: a row left idle this long is considered precharged
+/// in the background ("500ns timeout" row buffer policy, Table I).
+pub const ROW_TIMEOUT: Ps = ns(500.0);
 
-impl std::fmt::Display for DramConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "DDR4 channel:")?;
-        writeln!(
-            f,
-            "  tCL/tRCD/tRP = {:.2}/{:.2}/{:.2} ns",
-            self.t_cl as f64 / 1e3,
-            self.t_rcd as f64 / 1e3,
-            self.t_rp as f64 / 1e3
-        )?;
-        writeln!(
-            f,
-            "  tRFC = {:.0} ns, tREFI = {:.0} ns",
-            self.t_rfc as f64 / 1e3,
-            self.t_refi as f64 / 1e3
-        )?;
-        writeln!(
-            f,
-            "  ranks = {}, banks/rank = {}",
-            self.ranks, self.banks_per_rank
-        )?;
-        writeln!(
-            f,
-            "  row buffer = {} B, timeout = {:.0} ns",
-            self.row_bytes,
-            self.row_timeout as f64 / 1e3
-        )?;
-        write!(
-            f,
-            "  queue = {} entries, row-hit cap = {}",
-            self.queue_capacity, self.row_hit_cap
-        )
-    }
+/// Number of ranks on the channel (Table I: 8).
+pub const RANKS: usize = 8;
+
+/// Banks per rank (DDR4: 4 bank groups × 4 banks).
+pub const BANKS_PER_RANK: usize = 16;
+
+/// Total banks across all ranks.
+pub const TOTAL_BANKS: usize = RANKS * BANKS_PER_RANK;
+
+/// Row size in bytes (8 KB typical for DDR4 x8 devices).
+pub const ROW_BYTES: u64 = 8 << 10;
+
+/// Combined read/write queue capacity (Table I: 256 entries).
+pub const QUEUE_CAPACITY: usize = 256;
+
+/// FR-FCFS-Capped: maximum consecutive row-buffer hits a bank may service
+/// before the scheduler forces the row closed so older requests make
+/// progress.
+pub const ROW_HIT_CAP: u32 = 4;
+
+/// Writes the "DDR4 channel" block of the Table I text.
+pub fn write_table1(out: &mut impl std::fmt::Write) -> std::fmt::Result {
+    writeln!(out, "DDR4 channel:")?;
+    writeln!(
+        out,
+        "  tCL/tRCD/tRP = {:.2}/{:.2}/{:.2} ns",
+        T_CL as f64 / 1e3,
+        T_RCD as f64 / 1e3,
+        T_RP as f64 / 1e3
+    )?;
+    writeln!(
+        out,
+        "  tRFC = {:.0} ns, tREFI = {:.0} ns",
+        T_RFC as f64 / 1e3,
+        T_REFI as f64 / 1e3
+    )?;
+    writeln!(out, "  ranks = {RANKS}, banks/rank = {BANKS_PER_RANK}")?;
+    writeln!(
+        out,
+        "  row buffer = {ROW_BYTES} B, timeout = {:.0} ns",
+        ROW_TIMEOUT as f64 / 1e3
+    )?;
+    write!(
+        out,
+        "  queue = {QUEUE_CAPACITY} entries, row-hit cap = {ROW_HIT_CAP}"
+    )
 }
 
 #[cfg(test)]
@@ -144,24 +103,18 @@ mod tests {
 
     #[test]
     fn table1_matches_paper() {
-        let c = DramConfig::table1();
-        assert_eq!(c.t_cl, 13_750);
-        assert_eq!(c.t_rfc, 350_000);
-        assert_eq!(c.ranks, 8);
-        assert_eq!(c.queue_capacity, 256);
-        assert_eq!(c.total_banks(), 128);
+        assert_eq!(T_CL, 13_750);
+        assert_eq!(T_RFC, 350_000);
+        assert_eq!(RANKS, 8);
+        assert_eq!(QUEUE_CAPACITY, 256);
+        assert_eq!(TOTAL_BANKS, 128);
     }
 
     #[test]
-    fn latency_ordering() {
-        let c = DramConfig::table1();
-        assert!(c.hit_latency() < c.closed_latency());
-        assert!(c.closed_latency() < c.conflict_latency());
-    }
-
-    #[test]
-    fn display_mentions_key_timings() {
-        let s = DramConfig::table1().to_string();
+    fn table1_text_mentions_key_timings() {
+        let mut s = String::new();
+        write_table1(&mut s).unwrap();
+        assert!(s.starts_with("DDR4 channel:\n"));
         assert!(s.contains("13.75"));
         assert!(s.contains("350"));
     }

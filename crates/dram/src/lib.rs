@@ -1,8 +1,9 @@
 //! Cycle-level DDR4 DRAM timing model for the RMCC secure-memory
 //! reproduction — the stand-in for the Ramulator back end the paper uses.
 //!
-//! * [`config`] — Table I timings (tCL/tRCD/tRP = 13.75 ns, tRFC = 350 ns,
-//!   500 ns open-row timeout, 256-entry queues) and the picosecond time base.
+//! * [`config`] — Table I timings and geometry as constants (tCL/tRCD/tRP =
+//!   13.75 ns, tRFC = 350 ns, 500 ns open-row timeout, 256-entry queues) and
+//!   the picosecond time base.
 //! * [`mapping`] — Skylake-like XOR-based address → (rank, bank, row)
 //!   mapping.
 //! * [`channel`] — the transaction-level channel model: per-bank row-buffer
@@ -14,9 +15,8 @@
 //!
 //! ```
 //! use rmcc_dram::channel::{Channel, ReqKind, TrafficClass};
-//! use rmcc_dram::config::DramConfig;
 //!
-//! let mut dram = Channel::new(DramConfig::table1());
+//! let mut dram = Channel::new();
 //! let done = dram.access(0, 0xabc0, ReqKind::Read, TrafficClass::Data);
 //! assert!(done.done > 0);
 //! ```
@@ -29,5 +29,5 @@ pub mod config;
 pub mod mapping;
 
 pub use channel::{Channel, ClassStats, Completion, DramStats, ReqKind, RowOutcome, TrafficClass};
-pub use config::{ns, DramConfig, Ps, PS_PER_NS};
+pub use config::{ns, Ps, PS_PER_NS};
 pub use mapping::{AddressMapping, DramCoord};

@@ -5,7 +5,23 @@
 //! pairs of address bits so that consecutive rows spread across banks and
 //! row-conflict adversarial patterns are broken up.
 
-use crate::config::DramConfig;
+use crate::config::{BANKS_PER_RANK, RANKS, ROW_BYTES};
+
+// The XOR fold selects ranks and banks with bit masks and finds rows by
+// shifting, so the Table I geometry must be powers of two.
+const _: () = assert!(RANKS.is_power_of_two(), "rank count must be a power of two");
+const _: () = assert!(
+    BANKS_PER_RANK.is_power_of_two(),
+    "bank count must be a power of two"
+);
+const _: () = assert!(
+    ROW_BYTES.is_power_of_two(),
+    "row size must be a power of two"
+);
+
+const RANK_BITS: u32 = RANKS.trailing_zeros();
+const BANK_BITS: u32 = BANKS_PER_RANK.trailing_zeros();
+const ROW_SHIFT: u32 = ROW_BYTES.trailing_zeros();
 
 /// A decoded DRAM coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,62 +39,41 @@ pub struct DramCoord {
 /// # Examples
 ///
 /// ```
-/// use rmcc_dram::config::DramConfig;
 /// use rmcc_dram::mapping::AddressMapping;
 ///
-/// let map = AddressMapping::new(&DramConfig::table1());
+/// let map = AddressMapping::new();
 /// let a = map.decode(0);
 /// let b = map.decode(64);
 /// // Adjacent lines stay in the same row of the same bank.
 /// assert_eq!((a.rank, a.bank, a.row), (b.rank, b.bank, b.row));
 /// ```
-#[derive(Debug, Clone)]
-pub struct AddressMapping {
-    rank_bits: u32,
-    bank_bits: u32,
-    row_shift: u32,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AddressMapping;
 
 impl AddressMapping {
-    /// Builds the mapping for `config`'s geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rank or bank counts are not powers of two.
-    pub fn new(config: &DramConfig) -> Self {
-        assert!(
-            config.ranks.is_power_of_two(),
-            "rank count must be a power of two"
-        );
-        assert!(
-            config.banks_per_rank.is_power_of_two(),
-            "bank count must be a power of two"
-        );
-        AddressMapping {
-            rank_bits: config.ranks.trailing_zeros(),
-            bank_bits: config.banks_per_rank.trailing_zeros(),
-            row_shift: config.row_bytes.trailing_zeros(),
-        }
+    /// The mapping for the Table I channel's geometry.
+    pub const fn new() -> Self {
+        AddressMapping
     }
 
     /// Decodes a byte address.
     pub fn decode(&self, byte_addr: u64) -> DramCoord {
-        let row_all = byte_addr >> self.row_shift;
+        let row_all = byte_addr >> ROW_SHIFT;
         // Plain (non-XOR) bank/rank fields from the low bits above the row
         // offset.
-        let bank_plain = (row_all & ((1 << self.bank_bits) - 1)) as usize;
-        let rank_plain = ((row_all >> self.bank_bits) & ((1 << self.rank_bits) - 1)) as usize;
-        let row = row_all >> (self.bank_bits + self.rank_bits);
+        let bank_plain = (row_all & ((1 << BANK_BITS) - 1)) as usize;
+        let rank_plain = ((row_all >> BANK_BITS) & ((1 << RANK_BITS) - 1)) as usize;
+        let row = row_all >> (BANK_BITS + RANK_BITS);
         // Skylake-style XOR: fold row bits into the bank/rank selects so
         // same-bank rows interleave (DRAMA functions XOR pairs of bits).
-        let bank = bank_plain ^ (row as usize & ((1 << self.bank_bits) - 1));
-        let rank = rank_plain ^ ((row >> self.bank_bits) as usize & ((1 << self.rank_bits) - 1));
+        let bank = bank_plain ^ (row as usize & ((1 << BANK_BITS) - 1));
+        let rank = rank_plain ^ ((row >> BANK_BITS) as usize & ((1 << RANK_BITS) - 1));
         DramCoord { rank, bank, row }
     }
 
     /// Flat bank index across all ranks, for indexing bank-state arrays.
     pub fn flat_bank(&self, coord: DramCoord) -> usize {
-        coord.rank * (1usize << self.bank_bits) + coord.bank
+        coord.rank * (1usize << BANK_BITS) + coord.bank
     }
 }
 
@@ -87,7 +82,7 @@ mod tests {
     use super::*;
 
     fn map() -> AddressMapping {
-        AddressMapping::new(&DramConfig::table1())
+        AddressMapping::new()
     }
 
     #[test]
@@ -105,10 +100,9 @@ mod tests {
         // distinct coords seen when striding by row_bytes must equal the
         // stride count up to the geometry size.
         let m = map();
-        let cfg = DramConfig::table1();
         let mut seen = std::collections::HashSet::new();
         for i in 0..4096u64 {
-            let coord = m.decode(i * cfg.row_bytes);
+            let coord = m.decode(i * ROW_BYTES);
             assert!(seen.insert(coord), "coord collision at stride {i}");
         }
     }
@@ -117,10 +111,9 @@ mod tests {
     fn row_strides_spread_across_banks() {
         // Sequential rows should hit different banks thanks to the XOR fold.
         let m = map();
-        let cfg = DramConfig::table1();
         let banks: std::collections::HashSet<usize> = (0..16u64)
             .map(|i| {
-                let c = m.decode(i * cfg.row_bytes);
+                let c = m.decode(i * ROW_BYTES);
                 m.flat_bank(c)
             })
             .collect();
@@ -130,12 +123,11 @@ mod tests {
     #[test]
     fn flat_bank_bounds() {
         let m = map();
-        let cfg = DramConfig::table1();
         for i in 0..100_000u64 {
             let c = m.decode(i * 64);
-            assert!(c.rank < cfg.ranks);
-            assert!(c.bank < cfg.banks_per_rank);
-            assert!(m.flat_bank(c) < cfg.total_banks());
+            assert!(c.rank < RANKS);
+            assert!(c.bank < BANKS_PER_RANK);
+            assert!(m.flat_bank(c) < crate::config::TOTAL_BANKS);
         }
     }
 }

@@ -2,21 +2,20 @@
 
 use proptest::prelude::*;
 use rmcc_dram::channel::{Channel, ReqKind, TrafficClass};
-use rmcc_dram::config::DramConfig;
+use rmcc_dram::config::T_BURST;
 
 proptest! {
     /// Completions never precede their service start, starts never precede
     /// issue, and every access takes at least a burst.
     #[test]
     fn timing_is_causal(reqs in prop::collection::vec((0u64..1_000_000, any::<u64>()), 1..300)) {
-        let cfg = DramConfig::table1();
-        let mut ch = Channel::new(cfg.clone());
+        let mut ch = Channel::new();
         let mut t = 0u64;
         for (dt, addr) in reqs {
             t += dt;
             let c = ch.access(t, addr % (1 << 37), ReqKind::Read, TrafficClass::Data);
             prop_assert!(c.start >= t, "start {} before issue {}", c.start, t);
-            prop_assert!(c.done >= c.start + cfg.t_burst);
+            prop_assert!(c.done >= c.start + T_BURST);
         }
     }
 
@@ -24,22 +23,21 @@ proptest! {
     /// pairwise separated by at least one burst.
     #[test]
     fn bus_is_exclusive(reqs in prop::collection::vec(any::<u64>(), 2..200)) {
-        let cfg = DramConfig::table1();
-        let mut ch = Channel::new(cfg.clone());
+        let mut ch = Channel::new();
         let mut dones: Vec<u64> = reqs
             .iter()
             .map(|&a| ch.access(0, a % (1 << 37), ReqKind::Read, TrafficClass::Data).done)
             .collect();
         dones.sort_unstable();
         for w in dones.windows(2) {
-            prop_assert!(w[1] >= w[0] + cfg.t_burst, "bursts overlap: {} vs {}", w[0], w[1]);
+            prop_assert!(w[1] >= w[0] + T_BURST, "bursts overlap: {} vs {}", w[0], w[1]);
         }
     }
 
     /// Row-buffer outcome accounting matches the number of requests.
     #[test]
     fn stats_reconcile(reqs in prop::collection::vec((0u64..10_000, any::<u64>(), any::<bool>()), 1..300)) {
-        let mut ch = Channel::new(DramConfig::table1());
+        let mut ch = Channel::new();
         let mut t = 0;
         for (dt, addr, w) in &reqs {
             t += dt;

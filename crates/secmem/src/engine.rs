@@ -17,7 +17,7 @@ use rmcc_crypto::stats::{CryptoCost, CryptoStats};
 use crate::arena::PagedArena;
 use crate::counters::{CounterBlock, CounterOrg};
 use crate::layout::{LayoutError, MetadataLayout, BLOCK_BYTES};
-use crate::tree::{InitPolicy, MetadataState};
+use crate::tree::{splitmix64, InitPolicy, MetadataState};
 
 /// Chooses counter targets on writes — the seam where RMCC's
 /// memoization-aware update plugs in.
@@ -212,10 +212,10 @@ struct StoredNode {
 
 /// Lines in the memory controller's on-chip counter cache: Table I's
 /// 128 KiB of 64 B lines.
-const COUNTER_CACHE_LINES: usize = 2048;
+pub const COUNTER_CACHE_LINES: usize = 2048;
 
 /// Associativity of the on-chip counter cache (Table I).
-const COUNTER_CACHE_WAYS: usize = 32;
+pub const COUNTER_CACHE_WAYS: usize = 32;
 
 /// The memory controller's on-chip counter cache: verified copies of tree
 /// nodes, trusted like the on-chip root. A read walk stops at the first
@@ -356,15 +356,6 @@ impl RebuildReport {
     pub fn is_clean(&self) -> bool {
         self.data_unrecoverable == 0
     }
-}
-
-/// splitmix64 — the digest mixer used by [`SecureMemory::state_digest`].
-#[inline]
-fn digest_mix(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Serializes a counter block into the 64 B image the MAC covers. This is a
@@ -957,22 +948,22 @@ impl SecureMemory {
     pub fn state_digest(&self) -> u64 {
         let mut acc = self.meta.state_digest();
         for (block, stored) in self.data.entries() {
-            acc = digest_mix(acc ^ block);
+            acc = splitmix64(acc ^ block);
             for &byte in &stored.cipher {
                 acc = acc.rotate_left(8) ^ u64::from(byte);
             }
-            acc = digest_mix(acc ^ stored.mac);
+            acc = splitmix64(acc ^ stored.mac);
         }
         for (level, arena) in self.nodes.iter().enumerate() {
             for (idx, node) in arena.entries() {
-                acc = digest_mix(acc ^ ((level as u64) << 48) ^ idx);
+                acc = splitmix64(acc ^ ((level as u64) << 48) ^ idx);
                 for &byte in &node.image {
                     acc = acc.rotate_left(8) ^ u64::from(byte);
                 }
-                acc = digest_mix(acc ^ node.mac);
+                acc = splitmix64(acc ^ node.mac);
             }
         }
-        digest_mix(acc)
+        splitmix64(acc)
     }
 
     // --- attacker interface ------------------------------------------------

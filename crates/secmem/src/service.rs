@@ -60,6 +60,7 @@ use crate::engine::{
     CounterUpdatePolicy, IncrementPolicy, PipelineKind, ReadError, RebuildReport, SecureMemory,
     WriteError,
 };
+use crate::tree::splitmix64;
 
 /// One request in a batch submitted to the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -982,14 +983,6 @@ fn scatter(merged: &mut [AccessResult], indices: &[usize], results: &[AccessResu
 pub fn serial_reference(cfg: &ServiceConfig, batch: &[Access]) -> Vec<AccessResult> {
     let mut mem = SecureMemory::new(SHARD_ORG, cfg.data_bytes, SHARD_PIPELINE, SHARD_KEY_SEED);
     batch.iter().map(|a| apply(&mut mem, a, false)).collect()
-}
-
-/// SplitMix64 — the routing/digest mixer (also the bench suite's PRNG).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

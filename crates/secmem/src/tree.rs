@@ -48,7 +48,12 @@ pub fn canonical_group_starts() -> [u64; 16] {
     core::array::from_fn(|i| RANDOM_INIT_MEAN / 2 + i as u64 * 6_400)
 }
 
-fn splitmix(mut z: u64) -> u64 {
+/// SplitMix64: the crate's one mixer. It derives randomized initial
+/// counters, folds [`MetadataState::state_digest`] and
+/// [`crate::engine::SecureMemory::state_digest`], and routes and digests
+/// service batches.
+#[inline]
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -130,7 +135,7 @@ impl MetadataState {
         match init {
             InitPolicy::Zero => CounterBlock::new(org),
             InitPolicy::Randomized { seed } => {
-                let h = splitmix(seed ^ (level as u64) << 56 ^ index);
+                let h = splitmix64(seed ^ (level as u64) << 56 ^ index);
                 let n = org.coverage();
                 // 7 of 8 blocks sit on the converged ladder (their last
                 // relevel under the storm steered them to a memoized group;
@@ -156,7 +161,7 @@ impl MetadataState {
                 };
                 let minors = (0..n)
                     .map(|s| {
-                        let hs = splitmix(h ^ s as u64);
+                        let hs = splitmix64(h ^ s as u64);
                         if conformed {
                             // Stay inside the 8-value group.
                             if hs.is_multiple_of(4) {
@@ -337,13 +342,13 @@ impl MetadataState {
         let mut acc = 0x7472_7573_7465_6421u64; // "trusted!"
         for (level, arena) in self.levels.iter().enumerate() {
             for (index, cb) in arena.entries() {
-                acc = splitmix(acc ^ ((level as u64) << 48) ^ index);
+                acc = splitmix64(acc ^ ((level as u64) << 48) ^ index);
                 for v in cb.values() {
-                    acc = splitmix(acc ^ v);
+                    acc = splitmix64(acc ^ v);
                 }
             }
         }
-        splitmix(acc ^ self.max_observed)
+        splitmix64(acc ^ self.max_observed)
     }
 
     /// Iterates over every *touched* data-block counter value along with the

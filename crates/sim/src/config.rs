@@ -3,9 +3,11 @@
 
 use rmcc_cache::hierarchy::HierarchyConfig;
 use rmcc_cache::tlb::PageSize;
-use rmcc_core::rmcc::RmccConfig;
-use rmcc_dram::config::{ns, DramConfig, Ps};
+use rmcc_cache::LINE_BYTES;
+use rmcc_core::rmcc::{RmccConfig, DEFAULT_LEVELS};
+use rmcc_dram::config::{ns, Ps};
 use rmcc_secmem::counters::CounterOrg;
+use rmcc_secmem::engine::{COUNTER_CACHE_LINES, COUNTER_CACHE_WAYS};
 use rmcc_secmem::tree::InitPolicy;
 
 /// The secure-memory schemes the evaluation compares (Figure 13).
@@ -57,7 +59,53 @@ impl std::fmt::Display for Scheme {
     }
 }
 
-/// Everything the simulators need to know about the machine under test.
+/// Carry-less multiplication latency (Table I: 1 ns).
+pub const CLMUL_LATENCY: Ps = ns(1.0);
+
+/// Memoization-table lookup latency.
+pub const TABLE_LOOKUP_LATENCY: Ps = ns(1.0);
+
+/// Core clock in GHz (Table I: 3.2).
+pub const CORE_GHZ: f64 = 3.2;
+
+/// One core cycle in picoseconds.
+pub const CYCLE_PS: Ps = (1_000.0 / CORE_GHZ).round() as Ps;
+
+/// Retire width (Table I: 4-wide OoO).
+pub const RETIRE_WIDTH: u32 = 4;
+
+/// Reorder-buffer capacity (Table I: 192).
+pub const ROB_ENTRIES: usize = 192;
+
+/// Maximum outstanding LLC misses (MSHRs).
+pub const MAX_OUTSTANDING_MISSES: usize = 16;
+
+/// Latency of an L1 / L2 / L3 hit in picoseconds (Table I additive:
+/// 2 / 6 / 23 ns end-to-end).
+pub const L1_LATENCY: Ps = ns(2.0);
+
+/// End-to-end L2 hit latency.
+pub const L2_LATENCY: Ps = ns(6.0);
+
+/// End-to-end L3 hit latency.
+pub const L3_LATENCY: Ps = ns(23.0);
+
+/// Maximum concurrent counter-overflow relevels (§V: "at most two
+/// outstanding overflows at a time").
+pub const MAX_OUTSTANDING_OVERFLOWS: usize = 2;
+
+/// Instruction-expansion factor applied to each trace event's `work`
+/// field. Kernels trace only their big-array accesses; the surrounding
+/// L1-resident accesses and arithmetic (address math, cost evaluation,
+/// branches) are summarized by `work × WORK_SCALE` instructions, which
+/// calibrates LLC misses-per-kilo-instruction into the range the paper's
+/// native workloads exhibit.
+pub const WORK_SCALE: u32 = 16;
+
+/// Everything the simulators need to know about the machine under test
+/// that some experiment varies. Table I values that no experiment varies
+/// are the module's constants, and the DDR4 channel's are
+/// [`rmcc_dram::config`]'s.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Which secure-memory scheme to model.
@@ -65,10 +113,6 @@ pub struct SystemConfig {
     /// AES latency (Table I: 15 ns for AES-128; §VI sensitivity: 22 ns for
     /// AES-256).
     pub aes_latency: Ps,
-    /// Carry-less multiplication latency (Table I: 1 ns).
-    pub clmul_latency: Ps,
-    /// Memoization-table lookup latency.
-    pub table_lookup_latency: Ps,
     /// Counter cache capacity in bytes (Table I: 128 KB; Figure 18: 256 KB
     /// and 512 KB; lifetime runs: 32 KB per thread).
     pub counter_cache_bytes: usize,
@@ -76,8 +120,6 @@ pub struct SystemConfig {
     pub counter_cache_ways: usize,
     /// Data cache hierarchy.
     pub hierarchy: HierarchyConfig,
-    /// DRAM channel timing.
-    pub dram: DramConfig,
     /// RMCC engine parameters (tables, budget).
     pub rmcc: RmccConfig,
     /// Counter initialization (experiments use the randomized policy, §V).
@@ -86,37 +128,12 @@ pub struct SystemConfig {
     pub data_bytes: u64,
     /// Page size for virtual→physical placement (§V: 2 MB huge pages).
     pub page_size: PageSize,
-    /// Core clock in GHz (Table I: 3.2).
-    pub core_ghz: f64,
-    /// Retire width (Table I: 4-wide OoO).
-    pub retire_width: u32,
-    /// Reorder-buffer capacity (Table I: 192).
-    pub rob_entries: usize,
-    /// Maximum outstanding LLC misses (MSHRs).
-    pub max_outstanding_misses: usize,
-    /// Latency of an L1 / L2 / L3 hit in picoseconds (Table I additive:
-    /// 2 / 6 / 23 ns end-to-end).
-    pub l1_latency: Ps,
-    /// End-to-end L2 hit latency.
-    pub l2_latency: Ps,
-    /// End-to-end L3 hit latency.
-    pub l3_latency: Ps,
-    /// Maximum concurrent counter-overflow relevels (§V: "at most two
-    /// outstanding overflows at a time").
-    pub max_outstanding_overflows: usize,
     /// Model PoisonIvy-style speculative verification (§VII related work):
     /// the core consumes decrypted data before the integrity-tree MAC
     /// checks complete, so chain-verification latency is hidden — but the
     /// counter-dependent AES for *decryption* is not ("CPU cannot execute
     /// on ciphertext"). For comparison against RMCC.
     pub speculative_verify: bool,
-    /// Instruction-expansion factor applied to each trace event's `work`
-    /// field. Kernels trace only their big-array accesses; the surrounding
-    /// L1-resident accesses and arithmetic (address math, cost evaluation,
-    /// branches) are summarized by `work × work_scale` instructions, which
-    /// calibrates LLC misses-per-kilo-instruction into the range the
-    /// paper's native workloads exhibit.
-    pub work_scale: u32,
     /// Record epoch-resolved telemetry (metrics registry + JSONL series) in
     /// the metadata engine. Off by default: when off, hot paths pay one
     /// branch and the engine carries an inert [`rmcc_telemetry::NullSink`]
@@ -127,32 +144,22 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// Table I configuration for the given scheme (detailed / gem5 mode).
+    /// The counter cache is the functional engine's
+    /// ([`COUNTER_CACHE_LINES`] lines, [`COUNTER_CACHE_WAYS`]-way).
     pub fn table1(scheme: Scheme) -> Self {
         SystemConfig {
             scheme,
             aes_latency: ns(15.0),
-            clmul_latency: ns(1.0),
-            table_lookup_latency: ns(1.0),
-            counter_cache_bytes: 128 << 10,
-            counter_cache_ways: 32,
+            counter_cache_bytes: COUNTER_CACHE_LINES * LINE_BYTES,
+            counter_cache_ways: COUNTER_CACHE_WAYS,
             hierarchy: HierarchyConfig::gem5_table1(),
-            dram: DramConfig::table1(),
             rmcc: RmccConfig::paper(),
             counter_init: InitPolicy::Randomized {
                 seed: 0x52_4d_43_43,
             },
             data_bytes: 128 << 30,
             page_size: PageSize::Huge2M,
-            core_ghz: 3.2,
-            retire_width: 4,
-            rob_entries: 192,
-            max_outstanding_misses: 16,
-            l1_latency: ns(2.0),
-            l2_latency: ns(6.0),
-            l3_latency: ns(23.0),
-            max_outstanding_overflows: 2,
             speculative_verify: false,
-            work_scale: 16,
             telemetry: false,
         }
     }
@@ -185,14 +192,9 @@ impl SystemConfig {
         }
     }
 
-    /// One core cycle in picoseconds.
-    pub fn cycle_ps(&self) -> Ps {
-        (1_000.0 / self.core_ghz).round() as Ps
-    }
-
     /// Counter cache capacity in 64 B lines.
     pub fn counter_cache_lines(&self) -> usize {
-        self.counter_cache_bytes / 64
+        self.counter_cache_bytes / LINE_BYTES
     }
 }
 
@@ -202,15 +204,14 @@ impl std::fmt::Display for SystemConfig {
         writeln!(f, "System Configuration ({})", self.scheme)?;
         writeln!(
             f,
-            "  CPU: x86, {:.1} GHz, {}-wide OoO, {}-entry ROB",
-            self.core_ghz, self.retire_width, self.rob_entries
+            "  CPU: x86, {CORE_GHZ:.1} GHz, {RETIRE_WIDTH}-wide OoO, {ROB_ENTRIES}-entry ROB"
         )?;
         writeln!(
             f,
             "  L1/L2/L3 hit: {:.0}/{:.0}/{:.0} ns (end-to-end)",
-            self.l1_latency as f64 / 1e3,
-            self.l2_latency as f64 / 1e3,
-            self.l3_latency as f64 / 1e3
+            L1_LATENCY as f64 / 1e3,
+            L2_LATENCY as f64 / 1e3,
+            L3_LATENCY as f64 / 1e3
         )?;
         writeln!(
             f,
@@ -229,16 +230,15 @@ impl std::fmt::Display for SystemConfig {
         if self.scheme.uses_rmcc() {
             writeln!(
                 f,
-                "  Memoization: {} groups x {} values per level, {} levels, {:.0}% budget/epoch",
-                self.rmcc.table.n_groups,
+                "  Memoization: {} groups x {} values per level, {DEFAULT_LEVELS} levels, {:.0}% budget/epoch",
+                self.rmcc.table.n_groups(),
                 self.rmcc.table.group_size,
-                self.rmcc.levels,
                 self.rmcc.budget_fraction * 100.0
             )?;
             writeln!(
                 f,
                 "  Carry-less multiply: {:.0} ns",
-                self.clmul_latency as f64 / 1e3
+                CLMUL_LATENCY as f64 / 1e3
             )?;
         }
         writeln!(
@@ -247,7 +247,7 @@ impl std::fmt::Display for SystemConfig {
             self.data_bytes >> 30,
             self.page_size
         )?;
-        write!(f, "{}", self.dram)
+        rmcc_dram::config::write_table1(f)
     }
 }
 
@@ -270,8 +270,9 @@ mod tests {
         assert_eq!(c.aes_latency, 15_000);
         assert_eq!(c.counter_cache_bytes, 128 << 10);
         assert_eq!(c.counter_cache_lines(), 2048);
-        assert_eq!(c.rob_entries, 192);
-        assert_eq!(c.cycle_ps(), 313); // 3.2 GHz
+        assert_eq!(c.counter_cache_ways, 32);
+        assert_eq!(ROB_ENTRIES, 192);
+        assert_eq!(CYCLE_PS, 313); // 3.2 GHz
         assert_eq!(c.data_bytes, 128 << 30);
     }
 

@@ -101,7 +101,7 @@ impl Runner for CoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scheme;
+    use crate::config::{Scheme, CYCLE_PS, L1_LATENCY, RETIRE_WIDTH, WORK_SCALE};
     use rmcc_secmem::tree::InitPolicy;
     use rmcc_workloads::trace::TraceEvent;
 
@@ -132,10 +132,9 @@ mod tests {
         let t_total = core.stats().elapsed_ps;
         // Hit events advance time only at the front-end dispatch rate
         // ((1 + work×scale) / width cycles each), far below miss latency.
-        let c = cfg(Scheme::NonSecure);
-        let per_event = (1 + 2 * c.work_scale as u64) * c.cycle_ps() / c.retire_width as u64;
+        let per_event = (1 + 2 * WORK_SCALE as u64) * CYCLE_PS / RETIRE_WIDTH as u64;
         assert!(
-            t_total - t_miss <= 100 * per_event + c.l1_latency + 1_000,
+            t_total - t_miss <= 100 * per_event + L1_LATENCY + 1_000,
             "hits cost {} over {} expected",
             t_total - t_miss,
             100 * per_event
@@ -192,8 +191,8 @@ mod tests {
         core.emit(ev(64, false, false));
         let s = core.stats();
         assert_eq!(s.mem_instrs, 2);
-        // (1 + work×work_scale) per event.
-        let expected = 2 * (1 + 2 * cfg(Scheme::NonSecure).work_scale as u64);
+        // (1 + work×WORK_SCALE) per event.
+        let expected = 2 * (1 + 2 * WORK_SCALE as u64);
         assert_eq!(s.instrs, expected);
         assert!(s.ipns() > 0.0);
     }

@@ -21,7 +21,10 @@ use rmcc_cache::set_assoc::SetAssocCache;
 use rmcc_dram::config::Ps;
 use rmcc_workloads::trace::TraceEvent;
 
-use crate::config::SystemConfig;
+use crate::config::{
+    Scheme, SystemConfig, CYCLE_PS, L1_LATENCY, L2_LATENCY, L3_LATENCY, MAX_OUTSTANDING_MISSES,
+    RETIRE_WIDTH, ROB_ENTRIES, WORK_SCALE,
+};
 use crate::mc::MemoryController;
 use crate::page_map::PageMap;
 
@@ -64,7 +67,7 @@ struct FilterOutcome {
 /// [`CoreEngine::step`] so they can be owned (single-core) or shared
 /// (multicore).
 pub struct CoreEngine {
-    cfg: SystemConfig,
+    scheme: Scheme,
     l1: SetAssocCache,
     l2: SetAssocCache,
     /// In-flight instructions in program order: `(instruction count,
@@ -87,7 +90,7 @@ pub struct CoreEngine {
 impl std::fmt::Debug for CoreEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CoreEngine")
-            .field("scheme", &self.cfg.scheme)
+            .field("scheme", &self.scheme)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -96,29 +99,25 @@ impl std::fmt::Debug for CoreEngine {
 impl CoreEngine {
     /// Builds one core's private state for `cfg`.
     pub fn new(cfg: &SystemConfig) -> Self {
-        let line = cfg.hierarchy.line_bytes;
+        let h = &cfg.hierarchy;
         CoreEngine {
-            l1: SetAssocCache::with_capacity(cfg.hierarchy.l1.bytes, line, cfg.hierarchy.l1.ways),
-            l2: SetAssocCache::with_capacity(cfg.hierarchy.l2.bytes, line, cfg.hierarchy.l2.ways),
-            rob: VecDeque::with_capacity(cfg.rob_entries),
+            scheme: cfg.scheme,
+            l1: SetAssocCache::with_capacity(h.l1.bytes, h.l1.ways),
+            l2: SetAssocCache::with_capacity(h.l2.bytes, h.l2.ways),
+            rob: VecDeque::with_capacity(ROB_ENTRIES),
             rob_occupancy: 0,
             outstanding: VecDeque::new(),
             dispatch: 0,
             last_load_done: 0,
             horizon: 0,
             stats: CoreStats::default(),
-            cfg: cfg.clone(),
         }
     }
 
     /// Builds the LLC this engine expects to run against (a convenience for
     /// runners; multicore builds one and shares it across engines).
     pub fn llc_for(cfg: &SystemConfig) -> SetAssocCache {
-        SetAssocCache::with_capacity(
-            cfg.hierarchy.l3.bytes,
-            cfg.hierarchy.line_bytes,
-            cfg.hierarchy.l3.ways,
-        )
+        SetAssocCache::with_capacity(cfg.hierarchy.l3.bytes, cfg.hierarchy.l3.ways)
     }
 
     /// The front-end dispatch cursor — the lockstep scheduling key: the
@@ -134,11 +133,11 @@ impl CoreEngine {
         s
     }
 
-    fn hit_latency(&self, level: Level) -> Ps {
+    fn hit_latency(level: Level) -> Ps {
         match level {
-            Level::L1 => self.cfg.l1_latency,
-            Level::L2 => self.cfg.l2_latency,
-            Level::L3 => self.cfg.l3_latency,
+            Level::L1 => L1_LATENCY,
+            Level::L2 => L2_LATENCY,
+            Level::L3 => L3_LATENCY,
         }
     }
 
@@ -201,9 +200,9 @@ impl CoreEngine {
         llc: &mut SetAssocCache,
         mc: &mut MemoryController,
     ) {
-        let cycle = self.cfg.cycle_ps() as f64;
-        let width = self.cfg.retire_width as f64;
-        let instrs = 1 + ev.work as u64 * self.cfg.work_scale as u64;
+        let cycle = CYCLE_PS as f64;
+        let width = RETIRE_WIDTH as f64;
+        let instrs = 1 + ev.work as u64 * WORK_SCALE as u64;
         self.stats.mem_instrs += 1;
         self.stats.instrs += instrs;
 
@@ -212,7 +211,7 @@ impl CoreEngine {
 
         // ROB pressure: with a full window, dispatch waits for the oldest
         // instructions to complete (in-order retire).
-        while self.rob_occupancy + instrs > self.cfg.rob_entries as u64 {
+        while self.rob_occupancy + instrs > ROB_ENTRIES as u64 {
             let Some((n, oldest)) = self.rob.pop_front() else {
                 break;
             };
@@ -232,21 +231,21 @@ impl CoreEngine {
         };
 
         let done = match outcome.hit_level {
-            Some(level) => issue + self.hit_latency(level),
+            Some(level) => issue + Self::hit_latency(level),
             None => {
                 self.stats.llc_misses += 1;
                 // MSHR window: a full window delays the new miss.
                 while let Some(&front) = self.outstanding.front() {
                     if front <= issue {
                         self.outstanding.pop_front();
-                    } else if self.outstanding.len() >= self.cfg.max_outstanding_misses {
+                    } else if self.outstanding.len() >= MAX_OUTSTANDING_MISSES {
                         issue = front;
                         self.outstanding.pop_front();
                     } else {
                         break;
                     }
                 }
-                let done = mc.read(issue + self.cfg.l3_latency, line << 6);
+                let done = mc.read(issue + L3_LATENCY, line << 6);
                 self.outstanding.push_back(done);
                 done
             }
@@ -341,7 +340,7 @@ mod tests {
         }
         let s = engine.stats();
         assert_eq!(s.mem_instrs, 10);
-        assert_eq!(s.instrs, 10 * (1 + 2 * c.work_scale as u64));
+        assert_eq!(s.instrs, 10 * (1 + 2 * WORK_SCALE as u64));
         assert!(engine.dispatch() > 0);
         assert!(s.elapsed_ps >= engine.dispatch());
     }

@@ -167,14 +167,7 @@ impl LifetimeRunner {
             }
         };
         let (spent_l0, spent_l1) = match self.engine.rmcc() {
-            Some(r) => (
-                r.budget(0).total_spent(),
-                if r.config().levels > 1 {
-                    r.budget(1).total_spent()
-                } else {
-                    0
-                },
-            ),
+            Some(r) => (r.budget(0).total_spent(), r.budget(1).total_spent()),
             None => (0, 0),
         };
         LifetimeReport {

@@ -11,9 +11,11 @@
 use std::collections::VecDeque;
 
 use rmcc_dram::channel::{Channel, ReqKind, TrafficClass};
-use rmcc_dram::config::{ns, Ps};
+use rmcc_dram::config::{ns, Ps, T_BURST};
 
-use crate::config::{Scheme, SystemConfig};
+use crate::config::{
+    Scheme, SystemConfig, CLMUL_LATENCY, MAX_OUTSTANDING_OVERFLOWS, TABLE_LOOKUP_LATENCY,
+};
 use crate::meta_engine::{MetaEngine, MetaStats, SideKind, SideRequest};
 
 /// Counter-cache access latency (a small SRAM in the MC).
@@ -68,7 +70,7 @@ impl MemoryController {
     pub fn new(cfg: &SystemConfig) -> Self {
         MemoryController {
             engine: MetaEngine::new(cfg),
-            dram: Channel::new(cfg.dram.clone()),
+            dram: Channel::new(),
             overflow_slots: VecDeque::new(),
             latency: LatencyStats::default(),
             cfg: cfg.clone(),
@@ -124,11 +126,11 @@ impl MemoryController {
             }
         }
         if !overflow_batch.is_empty() {
-            // Admission control: at most `max_outstanding_overflows` batches.
+            // Admission control: at most `MAX_OUTSTANDING_OVERFLOWS` batches.
             while let Some(&front) = self.overflow_slots.front() {
                 if front <= at {
                     self.overflow_slots.pop_front();
-                } else if self.overflow_slots.len() >= self.cfg.max_outstanding_overflows {
+                } else if self.overflow_slots.len() >= MAX_OUTSTANDING_OVERFLOWS {
                     stall_until = front;
                     self.overflow_slots.pop_front();
                 } else {
@@ -151,7 +153,7 @@ impl MemoryController {
                     .access(t, s.addr, kind, Self::side_class(s.kind))
                     .done;
                 last_done = done;
-                t += self.cfg.dram.t_burst;
+                t += T_BURST;
             }
             self.overflow_slots.push_back(last_done);
         }
@@ -178,7 +180,7 @@ impl MemoryController {
         let org = self.cfg.scheme.counter_org().expect("secure scheme");
         let decode = org.decode_latency_ps();
         let aes = self.cfg.aes_latency;
-        let memo_fast = self.cfg.table_lookup_latency + self.cfg.clmul_latency;
+        let memo_fast = TABLE_LOOKUP_LATENCY + CLMUL_LATENCY;
 
         // Fetch every missed chain level in parallel (indices derive from
         // the address alone), innermost first in `outcome.fetches`.
@@ -217,7 +219,7 @@ impl MemoryController {
         // `at`; with a memoized counter value only the lookup + clmul
         // remain after the counter is ready.
         let otp_ready = if outcome.l0_memo_hit {
-            (value_ready + memo_fast).max(at + aes + self.cfg.clmul_latency)
+            (value_ready + memo_fast).max(at + aes + CLMUL_LATENCY)
         } else {
             value_ready + aes
         };

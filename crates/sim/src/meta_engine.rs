@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 
 use rmcc_cache::set_assoc::SetAssocCache;
-use rmcc_core::rmcc::Rmcc;
+use rmcc_core::rmcc::{Rmcc, DEFAULT_LEVELS};
 use rmcc_core::table::{LookupResult, TableStats};
 use rmcc_crypto::stats::{CryptoCost, CryptoStats};
 use rmcc_secmem::layout::BLOCK_BYTES;
@@ -353,7 +353,7 @@ impl MetaEngine {
                 // memoization-aware updates steered counters onto (see
                 // `canonical_group_starts`).
                 for start in rmcc_secmem::tree::canonical_group_starts() {
-                    for level in 0..cfg.rmcc.levels {
+                    for level in 0..DEFAULT_LEVELS {
                         r.seed_group(level, start);
                     }
                 }
