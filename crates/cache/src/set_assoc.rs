@@ -191,6 +191,13 @@ impl SetAssocCache {
         set.iter().any(|l| l.valid && l.tag == addr)
     }
 
+    /// Whether `addr` is resident and dirty. Like [`SetAssocCache::probe`],
+    /// changes no state.
+    pub fn is_dirty(&self, addr: u64) -> bool {
+        let set = &self.sets[self.set_index(addr)];
+        set.iter().any(|l| l.valid && l.dirty && l.tag == addr)
+    }
+
     /// Accesses `addr`; on a miss the line is filled (write-allocate) and the
     /// LRU victim, if any, is reported. `is_write` marks the line dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
@@ -393,9 +400,12 @@ mod tests {
     fn write_hit_marks_dirty() {
         let mut c = SetAssocCache::new(1, 1);
         c.access(1, false);
+        assert!(!c.is_dirty(1));
         c.access(1, true); // hit + dirty
+        assert!(c.is_dirty(1));
         let out = c.access(2, false);
         assert!(matches!(out, AccessOutcome::Miss { evicted: Some(e) } if e.dirty));
+        assert!(!c.is_dirty(1), "an evicted line is not resident");
     }
 
     #[test]

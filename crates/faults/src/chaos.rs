@@ -499,11 +499,18 @@ fn run_class(h: &mut ChaosServiceHarness, class: ChaosFaultClass, victim: usize)
             }];
             h.drive(&advance);
             if let Some(Some(snap)) = stale {
-                h.faulted.with_shard(victim, |mem| mem.replay_node(&snap));
+                // The advanced node reaches DRAM at its write-back; the
+                // attacker replays over that image.
+                h.faulted.with_shard(victim, |mem| {
+                    mem.flush_counter_cache();
+                    mem.replay_node(&snap);
+                });
             }
         }
         ChaosFaultClass::ForgedCounters => {
             h.faulted.with_shard(victim, |mem| {
+                // Forge over the written-back image, not under a dirty line.
+                mem.flush_counter_cache();
                 let l0 = mem.layout().l0_index(victim_block);
                 let _ = mem.forge_node_counters(0, l0, 1 << 40);
             });

@@ -275,7 +275,10 @@ impl FaultHarness {
                     .mem
                     .snapshot_node(0, l0)
                     .expect("warm node image exists");
-                self.rewrite(victim); // counter moves on
+                // The counter moves on; the rewritten node reaches DRAM at
+                // its write-back, and the attacker replays over that image.
+                self.rewrite(victim);
+                self.mem.flush_counter_cache();
                 self.mem.replay_node(&stale);
                 self.classify_read(victim, true)
             }
@@ -327,14 +330,17 @@ impl FaultHarness {
                 } else {
                     COUNTER_MAX
                 };
+                // Forge over the written-back image, not under a dirty line.
+                self.mem.flush_counter_cache();
                 self.mem
                     .forge_node_counters(0, l0, forged)
                     .expect("node is in the layout");
                 self.classify_read(victim, true)
             }
         };
-        // Heal: rewriting republishes data + node images from trusted
-        // state; the recovery path itself is part of what we verify.
+        // Heal: rewriting republishes the data, and the node images from
+        // trusted state (a cached node's at its write-back); the recovery
+        // path itself is part of what we verify.
         self.rewrite(victim);
         let healed = self.mem.read(victim).expect("rewrite must heal the victim");
         assert_eq!(

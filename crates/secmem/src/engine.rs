@@ -217,26 +217,31 @@ pub const COUNTER_CACHE_LINES: usize = 2048;
 /// Associativity of the on-chip counter cache (Table I).
 pub const COUNTER_CACHE_WAYS: usize = 32;
 
-/// The memory controller's on-chip counter cache: verified copies of tree
+/// The memory controller's on-chip counter cache: trusted copies of tree
 /// nodes, trusted like the on-chip root. A read walk stops at the first
-/// node whose copy is resident and bit-identical to its DRAM image; only
-/// the nodes below it pay a verify (the simulator's `MetaEngine` rule).
+/// node whose line is resident and either dirty or bit-identical to its
+/// DRAM image; only the nodes below it pay a verify (the simulator's
+/// `MetaEngine` rule).
 ///
-/// Publishing stays write-through, so the cache never holds the only
-/// up-to-date copy of a node: writes update resident copies in place and
-/// allocate no line.
+/// Node images are written back: a write that changes a resident node
+/// marks its line dirty, and the node's image and MAC reach DRAM only when
+/// the line is evicted or flushed. Writes allocate no lines, so a node
+/// that is not resident always has a current DRAM image.
 struct CounterCache {
-    /// Tags and LRU state, keyed by node line address (`node_addr >> 6`).
+    /// Tags, dirty bits and LRU state, keyed by node line address
+    /// (`node_addr >> 6`).
     tags: SetAssocCache,
     /// `copies[slot]` is the verified image of the node whose tag occupies
     /// `slot` (`set * ways + way`) in `tags`: Table I's 128 KiB of lines
     /// plus their MACs, allocated once. A fill overwrites the slot it takes
     /// over, so an evicted line's copy goes with it, and the entry of a
-    /// vacant slot is never read.
+    /// vacant slot is never read. A dirty line's copy is its image as
+    /// fetched; the hit rule does not read it.
     copies: Box<[StoredNode]>,
-    /// One lookup per tree level a read walk visits. Kept here rather than
-    /// in `tags`, whose own tally would count a resident line whose DRAM
-    /// image differs from its copy as a hit.
+    /// One lookup per tree level a read walk visits, and one write-back
+    /// per dirty line materialized. Kept here rather than in `tags`, whose
+    /// own tally would count a clean line whose DRAM image differs from
+    /// its copy as a hit.
     stats: CacheStats,
 }
 
@@ -258,12 +263,22 @@ impl CounterCache {
         self.copies.get(self.tags.slot_of(line)?)
     }
 
+    /// Whether line `line` is resident and dirty: its node's DRAM image is
+    /// dead until the write-back.
+    fn is_dirty(&self, line: u64) -> bool {
+        self.tags.is_dirty(line)
+    }
+
     /// A read walk's lookup of the node at line `line`, whose DRAM image
-    /// is `dram`. It hits only when the node's copy is resident and
-    /// bit-identical to `dram`; a hit refreshes the line's LRU position.
+    /// is `dram`. It hits when the line is resident and either dirty or
+    /// holding a copy bit-identical to `dram`; a hit refreshes the line's
+    /// LRU position.
     fn lookup(&mut self, line: u64, dram: Option<&StoredNode>) -> bool {
         self.stats.accesses += 1;
-        let hit = dram.is_some() && self.copy(line) == dram;
+        let hit = match self.copy(line) {
+            Some(copy) => dram == Some(copy) || self.is_dirty(line),
+            None => false,
+        };
         if hit {
             self.stats.hits += 1;
             self.tags.lookup(line, false);
@@ -274,26 +289,31 @@ impl CounterCache {
     }
 
     /// Installs the just-verified `node` as line `line`'s copy, in the slot
-    /// the fill gives it (a victim's copy is overwritten there).
-    fn fill(&mut self, line: u64, node: StoredNode) {
-        let (slot, _victim) = self.tags.fill_slot(line, false);
+    /// the fill gives it (a victim's copy is overwritten there). Returns
+    /// the victim's line when it was dirty and must be written back.
+    fn fill(&mut self, line: u64, node: StoredNode) -> Option<u64> {
+        let (slot, victim) = self.tags.fill_slot(line, false);
         if let Some(copy) = self.copies.get_mut(slot) {
             *copy = node;
         }
+        victim.filter(|v| v.dirty).map(|v| v.addr)
     }
 
-    /// Replaces line `line`'s copy if the line is resident.
-    fn update(&mut self, line: u64, node: StoredNode) {
-        if let Some(copy) = self
-            .tags
-            .slot_of(line)
-            .and_then(|slot| self.copies.get_mut(slot))
-        {
-            *copy = node;
-        }
+    /// A write changed the node at line `line`: marks the line dirty and
+    /// refreshes its LRU position if it is resident. Returns whether it
+    /// was; a node that is not resident must be materialized at once.
+    fn mark_dirty(&mut self, line: u64) -> bool {
+        self.tags.lookup(line, true)
     }
 
-    /// Drops line `line` and its copy.
+    /// The dirty lines, in slot order.
+    fn dirty_lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.tags
+            .resident_lines()
+            .filter(|&line| self.is_dirty(line))
+    }
+
+    /// Drops line `line`, its copy and its dirty bit.
     fn invalidate(&mut self, line: u64) {
         self.tags.invalidate(line);
     }
@@ -303,7 +323,7 @@ impl CounterCache {
         std::mem::size_of_val(&*self.copies)
     }
 
-    /// Drops every line; the statistics are kept.
+    /// Drops every line and dirty bit; the statistics are kept.
     fn clear(&mut self) {
         self.tags = SetAssocCache::new(COUNTER_CACHE_LINES, COUNTER_CACHE_WAYS);
     }
@@ -402,8 +422,9 @@ pub struct SecureMemory {
     /// `level` (the on-chip root is never stored). Arena-per-level: lookup
     /// is layout arithmetic, and steady-state access allocates nothing.
     nodes: Vec<PagedArena<StoredNode>>,
-    /// Trusted on-chip copies of verified nodes; excluded from
-    /// [`Self::state_digest`].
+    /// Trusted on-chip copies of verified nodes, and the dirty bits of
+    /// nodes whose image has not been written back yet. Its contents do
+    /// not enter [`Self::state_digest`].
     counter_cache: CounterCache,
     /// The AES backend the pipeline's keys were expanded on (diagnostics;
     /// outputs are backend-invariant).
@@ -583,8 +604,8 @@ impl SecureMemory {
 
     /// Cumulative on-chip counter-cache tally: one access per tree level a
     /// read walk looked up, split into hits (the walk stopped there) and
-    /// misses (the node was fetched and verified). `writebacks` stays zero:
-    /// publishing is write-through.
+    /// misses (the node was fetched and verified), and one write-back per
+    /// dirty line materialized when it was evicted or flushed.
     pub fn counter_cache_stats(&self) -> CacheStats {
         self.counter_cache.stats
     }
@@ -605,10 +626,21 @@ impl SecureMemory {
         parts.iter().sum::<usize>() as u64
     }
 
-    /// Empties the counter cache, so the next read walks to the on-chip
-    /// root: the uncached reference the differential oracle compares with.
-    #[cfg(test)]
-    fn flush_counter_cache(&mut self) {
+    /// Writes back every dirty line of the counter cache, in slot order,
+    /// and empties it, so every node's DRAM image is current and the next
+    /// read walks to the on-chip root. Models sustained conflicting traffic
+    /// pushing every line out. Results and [`Self::state_digest`] do not
+    /// depend on when, or whether, it is called.
+    pub fn flush_counter_cache(&mut self) {
+        let layout = self.meta.layout();
+        let dirty: Vec<(usize, u64)> = self
+            .counter_cache
+            .dirty_lines()
+            .filter_map(|line| layout.locate(line << 6))
+            .collect();
+        for (level, idx) in dirty {
+            self.write_back(level, idx);
+        }
         self.counter_cache.clear();
     }
 
@@ -740,11 +772,12 @@ impl SecureMemory {
     // --- read path ------------------------------------------------------
 
     /// Verifies the tree path for L0 node `l0_idx`. The walk climbs from L0
-    /// and stops at the first node the on-chip counter cache holds with a
-    /// copy bit-identical to its DRAM image, or at the on-chip root. The
-    /// nodes below that point are verified top-down, each image's MAC under
-    /// its trusted parent counter, and each one that verifies is filled
-    /// into the cache. Returns `Ok` if every fetched image verified.
+    /// and stops at the first node the on-chip counter cache holds dirty or
+    /// with a copy bit-identical to its DRAM image, or at the on-chip root.
+    /// The nodes below that point are verified top-down, each image's MAC
+    /// under its trusted parent counter, and each one that verifies is
+    /// filled into the cache; a dirty line the fill evicts is written back.
+    /// Returns `Ok` if every fetched image verified.
     fn verify_path(&mut self, l0_idx: u64) -> Result<(), ReadError> {
         // Collect the chain of (level, index) the cache missed, reusing the
         // scratch buffer (no per-read alloc).
@@ -785,7 +818,13 @@ impl SecureMemory {
                     outcome = Err(ReadError::MetadataTampered { level });
                     break;
                 }
-                self.counter_cache.fill(line, node);
+                if let Some(victim) = self.counter_cache.fill(line, node) {
+                    // The victim is never on this chain (a dirty line
+                    // hits), and a write-back moves no counter.
+                    if let Some((v_level, v_idx)) = self.meta.layout().locate(victim << 6) {
+                        self.write_back(v_level, v_idx);
+                    }
+                }
             }
             // Nodes with no image were never written back; their state is
             // the trusted initial state.
@@ -819,9 +858,11 @@ impl SecureMemory {
 
     // --- tree maintenance -------------------------------------------------
 
-    /// Writes node (`level`, `idx`)'s current state out to the untrusted
-    /// image, bumping its protecting counter and re-MACing ancestors as
-    /// needed (write-through tree maintenance).
+    /// Records a change to node (`level`, `idx`)'s trusted state: bumps its
+    /// protecting counter and, recursively, every ancestor's, relevelling
+    /// where a counter overflows. Counters move eagerly; images do not: a
+    /// changed node whose line is resident is only marked dirty
+    /// ([`Self::node_changed`]).
     ///
     /// # Errors
     ///
@@ -833,7 +874,9 @@ impl SecureMemory {
         let depth = self.meta.layout().depth();
         let (parent_level, parent_idx) = self.meta.layout().parent_loc(level, idx)?;
         // The node's trusted state has moved; a refusal below leaves its
-        // image unpublished, so its on-chip copy is stale and must go.
+        // image unpublished, so its line must go. A dirty line is dropped,
+        // not written back: its image would be MACed under a counter that
+        // already MACed an older image.
         let current = self.meta.node_counter(level, idx);
         if current >= COUNTER_MAX {
             self.counter_cache.invalidate(self.node_line(level, idx));
@@ -851,12 +894,12 @@ impl SecureMemory {
             for slot in 0..arity {
                 let sibling = parent_idx * arity + slot;
                 if sibling != idx && self.stored_node(level, sibling).is_some() {
-                    self.refresh_node_mac(level, sibling);
+                    self.node_changed(level, sibling);
                     self.overflow_reencryptions += 1;
                 }
             }
         }
-        self.refresh_node_mac(level, idx);
+        self.node_changed(level, idx);
         // The parent's state changed (its counters moved): publish it too,
         // unless the parent is the on-chip root.
         if parent_level < depth {
@@ -865,18 +908,56 @@ impl SecureMemory {
         Ok(())
     }
 
-    /// Recomputes the stored MAC for node (`level`, `idx`) from its current
-    /// trusted state and protecting counter, and updates its on-chip copy
-    /// if one is resident.
-    fn refresh_node_mac(&mut self, level: usize, idx: u64) {
-        let counter = self.meta.node_counter(level, idx);
+    /// Node (`level`, `idx`)'s image or protecting counter changed. A
+    /// resident line is marked dirty and written back when it leaves the
+    /// cache; a node that is not resident is materialized at once, which
+    /// keeps the DRAM image of every such node current.
+    fn node_changed(&mut self, level: usize, idx: u64) {
         let line = self.node_line(level, idx);
-        let mac_pad = self.mac_pad_for(line, counter);
+        if !self.counter_cache.mark_dirty(line) {
+            self.materialize(level, idx);
+        }
+    }
+
+    /// Writes back the dirty line of node (`level`, `idx`) as it leaves the
+    /// counter cache.
+    fn write_back(&mut self, level: usize, idx: u64) {
+        self.materialize(level, idx);
+        self.counter_cache.stats.writebacks += 1;
+    }
+
+    /// Stores node (`level`, `idx`)'s current image and its MAC under the
+    /// current protecting counter, paying the MAC pad. Moves no counter.
+    fn materialize(&mut self, level: usize, idx: u64) {
+        let counter = self.meta.node_counter(level, idx);
         let image = node_image(self.meta.block(level, idx));
-        let mac = compute_mac(&self.mac_keys, &image, mac_pad);
-        let node = StoredNode { image, mac };
-        self.counter_cache.update(line, node);
+        self.crypto.pay(self.pad_cost);
+        let node = self.seal_node(level, idx, counter, image);
         self.store_node(level, idx, node);
+    }
+
+    /// Node (`level`, `idx`)'s `image` with its MAC under protecting
+    /// counter `counter`. Pays nothing: [`Self::materialize`] charges the
+    /// pad, [`Self::state_digest`] must not.
+    fn seal_node(&self, level: usize, idx: u64, counter: u64, image: DataBlock) -> StoredNode {
+        let mac_pad = self.pipeline.mac_pad(self.node_line(level, idx), counter);
+        let mac = compute_mac(&self.mac_keys, &image, mac_pad);
+        StoredNode { image, mac }
+    }
+
+    /// The image and MAC a dirty node (`level`, `idx`) will be written back
+    /// with, built from trusted state without touching it. `None` only for
+    /// a node whose counter block or parent was never touched, which no
+    /// dirty node is.
+    fn pending_node(&self, level: usize, idx: u64) -> Option<StoredNode> {
+        let layout = self.meta.layout();
+        let (parent_level, parent_idx) = layout.parent_loc(level, idx).ok()?;
+        let counter = self
+            .meta
+            .touched_block(parent_level, parent_idx)?
+            .value(layout.parent_slot(idx));
+        let image = node_image(self.meta.touched_block(level, idx)?);
+        Some(self.seal_node(level, idx, counter, image))
     }
 
     // --- recovery interface ------------------------------------------------
@@ -905,8 +986,9 @@ impl SecureMemory {
     /// attacker planted. Every stored ciphertext is then re-verified under
     /// its trusted counter; blocks whose MAC fails even there are counted
     /// as unrecoverable (their backing-store image itself is damaged).
-    /// The on-chip counter cache is emptied first, so nothing verified
-    /// before the rebuild is trusted after it. Cumulative telemetry (crypto
+    /// The on-chip counter cache is emptied first, dirty bits included (the
+    /// re-derivation covers every dirty node), so nothing verified before
+    /// the rebuild is trusted after it. Cumulative telemetry (crypto
     /// and counter-cache tallies, overflow counts) still grows — the
     /// rebuild pays real pad and verify work.
     pub fn rebuild(&mut self) -> RebuildReport {
@@ -918,7 +1000,7 @@ impl SecureMemory {
             locations.extend(arena.entries().map(|(idx, _)| (level, idx)));
         }
         for (level, idx) in locations {
-            self.refresh_node_mac(level, idx);
+            self.materialize(level, idx);
             report.nodes_rebuilt = report.nodes_rebuilt.saturating_add(1);
         }
         // Phase 2: re-verify every stored ciphertext under its trusted
@@ -939,12 +1021,14 @@ impl SecureMemory {
     }
 
     /// Order-sensitive fingerprint of the engine's *architectural* state:
-    /// the trusted counter tree plus every stored data and node image.
-    /// Cumulative telemetry (crypto tallies, overflow-re-encryption counts)
-    /// and the counter cache's contents, which only ever repeat trusted
-    /// state, are deliberately excluded, so a rebuilt shard can be compared
-    /// byte-for-byte against a never-faulted control twin whose history
-    /// differs only in fallback accounting.
+    /// the trusted counter tree plus every stored data and node image, a
+    /// dirty node's image taken as its pending write-back (built from
+    /// trusted state, paying nothing). Cumulative telemetry (crypto
+    /// tallies, overflow-re-encryption counts) and the counter cache's
+    /// contents are deliberately excluded, so the digest does not depend
+    /// on what is cached or when lines are written back, and a rebuilt
+    /// shard can be compared byte-for-byte against a never-faulted control
+    /// twin whose history differs only in fallback accounting.
     pub fn state_digest(&self) -> u64 {
         let mut acc = self.meta.state_digest();
         for (block, stored) in self.data.entries() {
@@ -955,7 +1039,13 @@ impl SecureMemory {
             acc = splitmix64(acc ^ stored.mac);
         }
         for (level, arena) in self.nodes.iter().enumerate() {
-            for (idx, node) in arena.entries() {
+            for (idx, stored) in arena.entries() {
+                let pending = if self.counter_cache.is_dirty(self.node_line(level, idx)) {
+                    self.pending_node(level, idx)
+                } else {
+                    None
+                };
+                let node = pending.as_ref().unwrap_or(stored);
                 acc = splitmix64(acc ^ ((level as u64) << 48) ^ idx);
                 for &byte in &node.image {
                     acc = acc.rotate_left(8) ^ u64::from(byte);
@@ -1507,6 +1597,91 @@ mod tests {
         // reports it, and the cached engine must not serve a hit instead.
         assert!(m.counter_cache.copy(m.node_line(0, 0)).is_none());
         assert_eq!(m.read(0), Err(ReadError::MetadataTampered { level: 0 }));
+
+        // The same refusal with node 0's line dirty: the line is dropped,
+        // not written back, since writing it back would MAC a new image
+        // under the counter that MACed the last one.
+        let mut m = mem(PipelineKind::Rmcc);
+        m.write(0, [1u8; 64]).unwrap();
+        m.write(1, [2u8; 64]).unwrap();
+        m.meta.relevel(parent_level, parent_idx, COUNTER_MAX - 1);
+        m.rebuild();
+        assert_eq!(m.read(0).unwrap(), [1u8; 64], "caches L0 node 0");
+        m.write(1, [3u8; 64]).unwrap();
+        assert!(m.counter_cache.is_dirty(m.node_line(0, 0)));
+        assert!(matches!(
+            m.write(1, [4u8; 64]),
+            Err(WriteError::CounterSaturated { .. })
+        ));
+        assert!(m.counter_cache.copy(m.node_line(0, 0)).is_none());
+        let writebacks = m.counter_cache_stats().writebacks;
+        m.flush_counter_cache();
+        assert_eq!(
+            m.counter_cache_stats().writebacks - writebacks,
+            m.layout().depth() as u64 - 1,
+            "only the ancestors are written back"
+        );
+        assert_eq!(m.read(0), Err(ReadError::MetadataTampered { level: 0 }));
+    }
+
+    #[test]
+    fn replay_under_a_dirty_node_is_masked_until_the_write_back() {
+        let mut m = mem(PipelineKind::Rmcc);
+        m.write(5, [1u8; 64]).unwrap();
+        assert_eq!(m.read(5).unwrap(), [1u8; 64], "caches the L0 node");
+        let l0 = m.layout().l0_index(5);
+        let stale = m.snapshot_node(0, l0).unwrap();
+        m.write(5, [2u8; 64]).unwrap();
+        assert!(m.counter_cache.is_dirty(m.node_line(0, l0)));
+        m.replay_node(&stale);
+        // The dirty line is trusted like the root: the image replayed
+        // under it is dead and never served.
+        for _ in 0..2 {
+            assert_eq!(m.read(5).unwrap(), [2u8; 64]);
+        }
+        m.flush_counter_cache();
+        assert_ne!(
+            m.snapshot_node(0, l0).unwrap().node,
+            stale.node,
+            "the write-back overwrote the replayed image"
+        );
+        assert_eq!(m.read(5).unwrap(), [2u8; 64]);
+        m.replay_node(&stale);
+        assert_eq!(m.read(5), Err(ReadError::MetadataTampered { level: 0 }));
+    }
+
+    #[test]
+    fn flush_writes_back_each_dirty_line_once() {
+        let org = CounterOrg::Morphable128;
+        let mut m = SecureMemory::new(org, 1 << 26, PipelineKind::Rmcc, 99);
+        let pad = CryptoCost::rmcc_block().aes;
+        // N blocks under N distinct L0 nodes of one L1 node.
+        let n = 8u64;
+        let blocks: Vec<u64> = (0..n).map(|k| k * org.coverage() as u64).collect();
+        for &block in &blocks {
+            m.write(block, [1u8; 64]).unwrap();
+            assert_eq!(m.read(block).unwrap(), [1u8; 64]);
+        }
+        let before = m.crypto_stats().aes_paid;
+        for &block in &blocks {
+            m.write(block, [2u8; 64]).unwrap();
+        }
+        let written = m.crypto_stats().aes_paid;
+        assert_eq!(written - before, n * pad, "writes pay only data pads");
+        // The N L0 lines are dirty, and so is one shared ancestor per
+        // level above them.
+        let dirty = n + m.layout().depth() as u64 - 1;
+        let writebacks = m.counter_cache_stats().writebacks;
+        m.flush_counter_cache();
+        let flushed = m.counter_cache_stats().writebacks;
+        assert_eq!(flushed - writebacks, dirty);
+        assert_eq!(m.crypto_stats().aes_paid - written, dirty * pad);
+        m.flush_counter_cache();
+        assert_eq!(m.counter_cache_stats().writebacks, flushed);
+        assert_eq!(m.crypto_stats().aes_paid, written + dirty * pad);
+        for &block in &blocks {
+            assert_eq!(m.read(block).unwrap(), [2u8; 64]);
+        }
     }
 
     /// One step of the differential oracle's operation stream.
@@ -1625,32 +1800,25 @@ mod tests {
             }
         }
 
-        /// Applies `op`; with `flush`, every read starts from an empty
-        /// counter cache and so walks to the on-chip root.
-        fn apply(&mut self, op: Op, flush: bool) -> Seen {
+        /// Applies `op`. An op that captures or overwrites a node image
+        /// first flushes the counter cache: the attacker sees a node's
+        /// image only once its line is written back.
+        fn apply(&mut self, op: Op) -> Seen {
             let org = self.mem.meta.org();
             let block = |sel| oracle_block(org, sel);
             let l0 = |mem: &SecureMemory, sel| mem.layout().l0_index(block(sel));
             let m = &mut self.mem;
+            if matches!(
+                op,
+                Op::SnapshotL0(_) | Op::ReplayL0 | Op::ForgeL0(..) | Op::Snapshot(_) | Op::Replay
+            ) {
+                m.flush_counter_cache();
+            }
             match op {
                 Op::Write(b, v) => Seen::Write(m.write(block(b), [v; 64])),
                 Op::WriteBaseline(b, v) => Seen::Write(m.write_baseline(block(b), [v; 64])),
-                Op::Read(b) => {
-                    if flush {
-                        m.flush_counter_cache();
-                    }
-                    Seen::Read(m.read(block(b)))
-                }
-                Op::Sweep => Seen::Sweep(
-                    (0..ORACLE_BLOCKS)
-                        .map(|b| {
-                            if flush {
-                                m.flush_counter_cache();
-                            }
-                            m.read(block(b))
-                        })
-                        .collect(),
-                ),
+                Op::Read(b) => Seen::Read(m.read(block(b))),
+                Op::Sweep => Seen::Sweep((0..ORACLE_BLOCKS).map(|b| m.read(block(b))).collect()),
                 Op::TamperData(b, o, mask) => Seen::Tamper(m.tamper_data(block(b), o, mask)),
                 Op::TamperMac(b, mask) => Seen::Tamper(m.tamper_mac(block(b), mask)),
                 Op::SnapshotL0(b) => {
@@ -1699,6 +1867,9 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(10))]
+        /// The lazy engine against a twin that flushes after every op, and
+        /// so publishes write-through and reads uncached: the same result
+        /// and the same `state_digest` after every op, for no more AES.
         #[test]
         fn counter_cache_matches_the_uncached_walk(
             ops in proptest::collection::vec(oracle_op(), 20..160),
@@ -1706,22 +1877,64 @@ mod tests {
         ) {
             for org in [CounterOrg::Mono8, CounterOrg::Sc64, CounterOrg::Morphable128] {
                 for kind in [PipelineKind::Sgx, PipelineKind::Rmcc] {
-                    let mut cached = Rig::new(org, kind, saturating);
+                    let mut lazy = Rig::new(org, kind, saturating);
                     let mut twin = Rig::new(org, kind, saturating);
                     for &op in &ops {
-                        let expect = twin.apply(op, true);
+                        let expect = twin.apply(op);
+                        twin.mem.flush_counter_cache();
                         proptest::prop_assert_eq!(
-                            cached.apply(op, false),
+                            lazy.apply(op),
                             expect,
                             "{:?} {:?} {:?}",
                             org,
                             kind,
                             op
                         );
+                        proptest::prop_assert_eq!(
+                            lazy.mem.state_digest(),
+                            twin.mem.state_digest(),
+                            "{:?} {:?} {:?}",
+                            org,
+                            kind,
+                            op
+                        );
                     }
-                    proptest::prop_assert_eq!(cached.mem.state_digest(), twin.mem.state_digest());
                     proptest::prop_assert!(
-                        twin.mem.crypto_stats().aes_paid >= cached.mem.crypto_stats().aes_paid
+                        twin.mem.crypto_stats().aes_paid >= lazy.mem.crypto_stats().aes_paid
+                    );
+                }
+            }
+        }
+
+        /// Flushing the counter cache at any point changes no result and
+        /// no `state_digest`.
+        #[test]
+        fn flushes_at_random_points_change_nothing(
+            ops in proptest::collection::vec(
+                (oracle_op(), proptest::arbitrary::any::<bool>()),
+                20..160,
+            ),
+        ) {
+            for org in [CounterOrg::Mono8, CounterOrg::Sc64, CounterOrg::Morphable128] {
+                let mut plain = Rig::new(org, PipelineKind::Rmcc, false);
+                let mut flushed = Rig::new(org, PipelineKind::Rmcc, false);
+                for &(op, flush) in &ops {
+                    if flush {
+                        flushed.mem.flush_counter_cache();
+                    }
+                    proptest::prop_assert_eq!(
+                        flushed.apply(op),
+                        plain.apply(op),
+                        "{:?} {:?}",
+                        org,
+                        op
+                    );
+                    proptest::prop_assert_eq!(
+                        flushed.mem.state_digest(),
+                        plain.mem.state_digest(),
+                        "{:?} {:?}",
+                        org,
+                        op
                     );
                 }
             }

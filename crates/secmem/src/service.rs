@@ -1094,6 +1094,12 @@ mod tests {
         svc.submit(&write);
         svc.submit(&read);
         svc.submit(&read);
+        // The rewrite dirties the owner's cached chain; the flush writes it
+        // back.
+        svc.submit(&write);
+        for shard in 0..snap.shards() {
+            svc.with_shard(shard, SecureMemory::flush_counter_cache);
+        }
         let stats = svc.counter_cache_stats();
         assert_eq!(stats.len(), snap.shards());
         let owner = snap.shard_of(0);
@@ -1101,6 +1107,11 @@ mod tests {
             let engine = svc.with_shard(shard, |mem| mem.counter_cache_stats());
             assert_eq!(Some(*s), engine);
             assert_eq!(s.hits > 0, shard == owner, "only the owner read twice");
+            assert_eq!(
+                s.writebacks > 0,
+                shard == owner,
+                "only the owner wrote a cached node"
+            );
         }
     }
 

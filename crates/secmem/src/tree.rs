@@ -191,6 +191,12 @@ impl MetadataState {
         self.block_mut(level, index)
     }
 
+    /// The counter block at `level` / `index` if it was ever touched.
+    /// Unlike [`MetadataState::block`], never materializes one.
+    pub(crate) fn touched_block(&self, level: usize, index: u64) -> Option<&CounterBlock> {
+        self.levels.get(level)?.get(index)
+    }
+
     /// # Panics
     ///
     /// Panics when `level` exceeds the tree depth or `index` the level's

@@ -2,8 +2,9 @@
 //!
 //! Plays the adversary with physical access that the paper's threat model
 //! assumes (a memory-bus probe, §II): spoofing ciphertext, forging MACs,
-//! mounting a full replay, and replaying a tree node above a counter block
-//! the memory controller has cached — and shows each one being caught. Finishes
+//! mounting a full replay, replaying a tree node above a counter block the
+//! memory controller has cached, and rolling back a counter block the
+//! controller holds dirty — and shows each one being caught. Finishes
 //! with the §IV-D1 empirical check that RMCC's truncated-clmul OTPs are as
 //! random as raw AES output.
 //!
@@ -39,9 +40,14 @@ fn main() {
         .expect("write within capacity");
 
     println!("\n=== Attack 3: full replay (stale data + MAC + counter image) ===");
+    // The earlier reads cached the block's counter block, so the rewrites
+    // left it dirty on-chip. The attacker waits for each write-back: an
+    // image captured or replayed under a dirty line is dead (Attack 6).
+    mem.flush_counter_cache();
     let stale = mem.snapshot(block).expect("block is on the bus");
     mem.write(block, block_of(b"wire $1 to account 7731"))
         .expect("write within capacity");
+    mem.flush_counter_cache();
     println!("  victim updated the block; attacker replays the old snapshot");
     mem.replay(&stale).expect("snapshot is from this memory");
     report(mem.read(block));
@@ -50,6 +56,7 @@ fn main() {
     // Probe for saturation-handling bugs: jam every counter in the covering
     // block to the Observed-System-Max bound, then to COUNTER_MAX itself.
     let l0 = mem.layout().l0_index(block);
+    mem.flush_counter_cache();
     for forged in [mem.observed_max() + 1, COUNTER_MAX] {
         mem.forge_node_counters(0, l0, forged)
             .expect("node is in the layout");
@@ -94,6 +101,36 @@ fn main() {
         mem.read(other).expect("clean read");
     }
     println!("  {evictions} reads under other parent nodes evict the cached counter block");
+    report(mem.read(block));
+
+    println!("\n=== Attack 6: roll back a counter block the controller holds dirty ===");
+    // A write to a cached counter block only marks its line dirty; the new
+    // image reaches DRAM when the line is written back. Until then the DRAM
+    // image is dead, so rolling it back changes nothing the chip reads.
+    let mut mem = SecureMemory::new(CounterOrg::Morphable128, 1 << 24, PipelineKind::Rmcc, 99);
+    mem.write(block, block_of(b"wire $1,000,000 to account 7731"))
+        .expect("write within capacity");
+    mem.read(block).expect("clean read");
+    let l0 = mem.layout().l0_index(block);
+    let stale = mem.snapshot_node(0, l0).expect("node is on the bus");
+    mem.write(block, latest).expect("write within capacity");
+    println!("  victim rewrites the block; its cached counter block is now dirty");
+    mem.replay_node(&stale);
+    println!("  attacker rolls back the counter block's DRAM image");
+    match mem.read(block) {
+        Ok(data) if data == latest => {
+            println!("  the dirty counter block masks the replay: the latest value is served")
+        }
+        other => report(other),
+    }
+    mem.flush_counter_cache();
+    println!("  the controller writes the counter block back over the replayed image");
+    match mem.read(block) {
+        Ok(data) if data == latest => println!("  the latest value reads back"),
+        other => report(other),
+    }
+    mem.replay_node(&stale);
+    println!("  attacker replays the stale image again");
     report(mem.read(block));
 
     println!("\n=== §IV-D1: are RMCC's OTPs still random? ===");

@@ -17,9 +17,11 @@
 
 use proptest::prelude::*;
 use rmcc::secmem::{
-    digest_results, serial_reference, Access, HealthConfig, SecureMemoryService, ServiceConfig,
+    digest_results, serial_reference, Access, HealthConfig, SecureMemory, SecureMemoryService,
+    ServiceConfig,
 };
-use rmcc::sim::service_run::{run_service, ServingScenario};
+use rmcc::sim::service_run::{access_for_event, run_service, ServingScenario};
+use rmcc::workloads::corpus::{KvServingConfig, Scenario};
 
 /// Address space small enough to keep proptest cases fast, large enough
 /// for several tree levels per shard.
@@ -110,6 +112,54 @@ proptest! {
             prop_assert_eq!(digest_results(&rn), digest_results(&rh));
         }
     }
+}
+
+/// When the counter caches write their dirty nodes back is invisible: a
+/// kv stream through a service whose shards are all flushed every third
+/// batch returns the same results, batch for batch, and every shard's
+/// state digest matches the never-flushed service's after every batch.
+#[test]
+fn counter_cache_flushes_change_no_result_or_digest() {
+    const SHARDS: usize = 4;
+    let scenario = Scenario::KvServing(KvServingConfig {
+        tenants: 16,
+        regions_per_tenant: 8,
+        blocks_per_region: 128,
+        hot_blocks_per_region: 8,
+        events: 1 << 13,
+        write_permille: 200,
+        churn_period: 2_048,
+        seed: 18,
+    });
+    let stream: Vec<Access> = scenario
+        .events()
+        .enumerate()
+        .map(|(i, ev)| access_for_event(&ev, i as u64))
+        .collect();
+    let cfg = ServiceConfig::new(SHARDS, DATA_BYTES);
+    let plain = SecureMemoryService::new(&cfg);
+    let flushed = SecureMemoryService::new(&cfg);
+    for (i, batch) in stream.chunks(256).enumerate() {
+        if i % 3 == 2 {
+            for shard in 0..SHARDS {
+                flushed.with_shard(shard, SecureMemory::flush_counter_cache);
+            }
+        }
+        assert_eq!(plain.submit(batch), flushed.submit(batch), "batch {i}");
+        for shard in 0..SHARDS {
+            assert_eq!(
+                plain.shard_state_digest(shard),
+                flushed.shard_state_digest(shard),
+                "batch {i}, shard {shard}"
+            );
+        }
+    }
+    let writebacks: u64 = flushed
+        .counter_cache_stats()
+        .iter()
+        .map(|s| s.writebacks)
+        .sum();
+    assert!(writebacks > 0, "the flushes wrote dirty nodes back");
 }
 
 /// The pinned telemetry series of each seeded small service run, one per
