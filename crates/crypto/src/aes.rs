@@ -247,6 +247,14 @@ impl Backend {
             .unwrap_or_default()
     }
 
+    /// Whether [`Aes::encrypt_batch8`] evaluates its 8 lanes in one pass,
+    /// so that a lane filled ahead of time costs nothing extra. Only the
+    /// bitsliced [`Backend::Hardened`] circuit does; the table backends
+    /// encrypt the lanes one after another, so batching them buys nothing.
+    pub fn batches_lanes(self) -> bool {
+        self == Backend::Hardened
+    }
+
     /// The canonical lowercase name (`reference` / `fast` / `hardened`).
     pub fn name(self) -> &'static str {
         match self {
@@ -848,6 +856,9 @@ mod tests {
         assert_eq!(Backend::default(), Backend::Fast);
         assert_eq!(Backend::Hardened.name(), "hardened");
         assert_eq!(format!("{}", Backend::Fast), "fast");
+        assert!(Backend::Hardened.batches_lanes());
+        assert!(!Backend::Fast.batches_lanes());
+        assert!(!Backend::Reference.batches_lanes());
     }
 
     #[test]

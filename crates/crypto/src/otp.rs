@@ -200,6 +200,11 @@ pub trait OtpPipeline: Send {
     /// caller's modeled crypto accounting is charged at request time
     /// either way. The default is a no-op (the baseline pipeline has no
     /// batch path and no memo to warm).
+    ///
+    /// It pays off only where the batch is one circuit evaluation
+    /// ([`Backend::batches_lanes`](crate::aes::Backend::batches_lanes)):
+    /// on the table backends a group with one memo miss costs eight
+    /// scalar derivations, so callers skip it there.
     fn warm_pads(&self, reqs: &[(u64, u64)]) {
         let _ = reqs;
     }

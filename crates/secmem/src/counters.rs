@@ -224,12 +224,13 @@ impl CounterBlock {
             CounterOrg::Morphable128 => {
                 // Check the candidate multiset analytically (no clone, no
                 // allocation on the write path), then commit in place and
-                // min-rebase — free: it changes no encoded values.
-                if morphable_write_fits(&self.minors, slot, new_minor) {
+                // min-rebase by the candidate minimum that check found —
+                // free: it changes no encoded values.
+                if let Some(min) = morphable_write_fits(&self.minors, slot, new_minor) {
                     if let Some(m) = self.minors.get_mut(slot) {
                         *m = new_minor;
                     }
-                    self.rebase();
+                    self.rebase_by(min);
                     Ok(())
                 } else {
                     Err(WouldOverflow {
@@ -251,7 +252,9 @@ impl CounterBlock {
         match self.org {
             CounterOrg::Mono8 => true,
             CounterOrg::Sc64 => new_minor <= SC64_MINOR_LIMIT,
-            CounterOrg::Morphable128 => morphable_write_fits(&self.minors, slot, new_minor),
+            CounterOrg::Morphable128 => {
+                morphable_write_fits(&self.minors, slot, new_minor).is_some()
+            }
         }
     }
 
@@ -281,7 +284,11 @@ impl CounterBlock {
         if self.org != CounterOrg::Morphable128 {
             return;
         }
-        let min = self.minors.iter().copied().min().unwrap_or(0);
+        self.rebase_by(self.minors.iter().copied().min().unwrap_or(0));
+    }
+
+    /// Rebase by `min`, which must be the minimum minor.
+    fn rebase_by(&mut self, min: u64) {
         if min > 0 {
             // Rebase preserves encoded values, so the sum stays bounded.
             self.major = self.major.saturating_add(min);
@@ -291,43 +298,46 @@ impl CounterBlock {
 }
 
 /// Whether replacing `minors[slot]` with `new_minor` yields a multiset that
-/// still fits one of Morphable's formats *after min-rebase*.
+/// still fits one of Morphable's formats *after min-rebase*; if it does,
+/// the candidate minimum the rebase subtracts.
 ///
 /// Computed analytically over the existing minors — the candidate is never
-/// materialized, so the hot write path performs no heap allocation. The
-/// rebase subtracts the candidate minimum from every minor, so the widest
+/// materialized, so the hot write path performs no heap allocation. One
+/// branch-free min/max pass over the other minors finds the candidate's
+/// range; the rebase subtracts its minimum from every minor, so the widest
 /// post-rebase field is `max − min` and a minor is non-zero post-rebase iff
-/// it exceeds the candidate minimum.
-fn morphable_write_fits(minors: &[u64], slot: usize, new_minor: u64) -> bool {
-    let mut low = new_minor;
-    let mut high = new_minor;
-    for (i, &m) in minors.iter().enumerate() {
-        if i != slot {
+/// it exceeds the candidate minimum. Those are counted only when the
+/// uniform format does not fit.
+fn morphable_write_fits(minors: &[u64], slot: usize, new_minor: u64) -> Option<u64> {
+    let (before, rest) = minors.split_at(slot.min(minors.len()));
+    let others = [before, rest.get(1..).unwrap_or_default()];
+    let (mut low, mut high) = (new_minor, new_minor);
+    for part in others {
+        for &m in part {
             low = low.min(m);
             high = high.max(m);
         }
     }
     let rebased_max = high - low;
     if rebased_max == 0 {
-        return true;
+        return Some(low);
     }
     let width = 64 - rebased_max.leading_zeros() as usize; // bits to hold max
     if width > 9 {
-        return false; // beyond the widest field in the ladder
+        return None; // beyond the widest field in the ladder
     }
     // Uniform format: every minor gets `width` bits.
     if minors.len() * width <= MORPHABLE_PAYLOAD_BITS {
-        return true;
+        return Some(low);
     }
     // Zero-compressed format: 1 presence bit per minor + `width` bits per
     // non-zero (post-rebase) minor.
-    let mut nonzero = usize::from(new_minor > low);
-    for (i, &m) in minors.iter().enumerate() {
-        if i != slot && m > low {
-            nonzero += 1;
-        }
-    }
-    minors.len() + nonzero * width <= MORPHABLE_PAYLOAD_BITS
+    let nonzero = others
+        .iter()
+        .map(|part| part.iter().filter(|&&m| m > low).count())
+        .sum::<usize>()
+        + usize::from(new_minor > low);
+    (minors.len() + nonzero * width <= MORPHABLE_PAYLOAD_BITS).then_some(low)
 }
 
 #[cfg(test)]
@@ -470,25 +480,37 @@ mod tests {
     #[test]
     fn analytic_write_fits_matches_materialized_reference() {
         // The old implementation: clone the minors, apply the write, rebase,
-        // then check the formats. The analytic version must agree exactly.
-        fn reference(minors: &[u64], slot: usize, new_minor: u64) -> bool {
+        // then check the formats. Returns the rebased `(major, minors)` when
+        // the candidate fits. The analytic version must agree exactly, and
+        // so must the state `try_write` leaves.
+        fn reference(
+            major: u64,
+            minors: &[u64],
+            slot: usize,
+            new_minor: u64,
+        ) -> Option<(u64, Vec<u64>)> {
             let mut cand = minors.to_vec();
             cand[slot] = new_minor;
             let min = cand.iter().copied().min().unwrap_or(0);
             cand.iter_mut().for_each(|m| *m -= min);
+            let rebased = Some((major + min, cand.clone()));
             let max = cand.iter().copied().max().unwrap_or(0);
             if max == 0 {
-                return true;
+                return rebased;
             }
             let width = 64 - max.leading_zeros() as usize;
             if width > 9 {
-                return false;
+                return None;
             }
             if cand.len() * width <= MORPHABLE_PAYLOAD_BITS {
-                return true;
+                return rebased;
             }
             let nonzero = cand.iter().filter(|&&m| m != 0).count();
-            cand.len() + nonzero * width <= MORPHABLE_PAYLOAD_BITS
+            if cand.len() + nonzero * width <= MORPHABLE_PAYLOAD_BITS {
+                rebased
+            } else {
+                None
+            }
         }
         let mut z = 0x5eed_1234_u64;
         let mut next = move || {
@@ -498,11 +520,12 @@ mod tests {
             z >> 33
         };
         let mut fits = 0u32;
+        let mut landed = [0u32; 2]; // [refused, written] by `try_write`
         for case in 0..2_000 {
             // Mix sparse, dense, narrow, and wide minor sets.
             let magnitude = [1u64, 7, 63, 511, 4095][case % 5];
             let density = [1u64, 3, 8][case % 3];
-            let minors: Vec<u64> = (0..128)
+            let mut minors: Vec<u64> = (0..128)
                 .map(|_| {
                     if next() % 8 < density {
                         next() % (magnitude + 1)
@@ -513,17 +536,53 @@ mod tests {
                 .collect();
             let slot = (next() % 128) as usize;
             let new_minor = next() % (2 * magnitude + 2);
+            if case % 4 == 3 {
+                // The written slot holds the block's only zero minor, so a
+                // write that lands rebases by the new minimum.
+                minors.iter_mut().for_each(|m| *m += 1 + next() % 2);
+                minors[slot] = 0;
+            }
+            let major = 1_000 + case as u64;
+            let expected = reference(major, &minors, slot, new_minor);
             let got = morphable_write_fits(&minors, slot, new_minor);
-            assert_eq!(
-                got,
-                reference(&minors, slot, new_minor),
-                "case {case}: slot {slot} new_minor {new_minor} minors {minors:?}"
-            );
-            fits += u32::from(got);
+            let ctx = format!("case {case}: slot {slot} new_minor {new_minor} minors {minors:?}");
+            assert_eq!(got.is_some(), expected.is_some(), "{ctx}");
+            fits += u32::from(got.is_some());
+            // The same write through the block: `can_write` predicts
+            // `try_write`, and a write that lands leaves exactly the
+            // reference's rebased state.
+            let mut cb = CounterBlock {
+                org: CounterOrg::Morphable128,
+                major,
+                minors: minors.clone(),
+            };
+            let target = major + new_minor;
+            if target <= cb.value(slot) {
+                assert!(!cb.can_write(slot, target), "{ctx}");
+                continue;
+            }
+            let predicted = cb.can_write(slot, target);
+            let written = cb.try_write(slot, target);
+            assert_eq!(predicted, written.is_ok(), "{ctx}");
+            landed[usize::from(written.is_ok())] += 1;
+            match expected {
+                Some((ref_major, ref_minors)) => {
+                    assert!(written.is_ok(), "{ctx}");
+                    assert_eq!((cb.major, &cb.minors), (ref_major, &ref_minors), "{ctx}");
+                }
+                None => {
+                    assert!(written.is_err(), "{ctx}");
+                    assert_eq!((cb.major, &cb.minors), (major, &minors), "{ctx}");
+                }
+            }
         }
         // The sweep must exercise both outcomes to mean anything.
         assert!(fits > 100, "only {fits} accepted");
         assert!(fits < 1_900, "only {} rejected", 2_000 - fits);
+        assert!(
+            landed.iter().all(|&n| n > 100),
+            "try_write outcomes {landed:?}"
+        );
     }
 
     #[test]

@@ -258,34 +258,28 @@ impl CounterCache {
         }
     }
 
-    /// The copy of line `line`, if the line is resident.
-    fn copy(&self, line: u64) -> Option<&StoredNode> {
-        self.copies.get(self.tags.slot_of(line)?)
-    }
-
     /// Whether line `line` is resident and dirty: its node's DRAM image is
     /// dead until the write-back.
     fn is_dirty(&self, line: u64) -> bool {
-        self.tags.is_dirty(line)
+        self.tags.find(line).is_some_and(|(_, dirty)| dirty)
     }
 
     /// A read walk's lookup of the node at line `line`, whose DRAM image
-    /// is `dram`. It hits when the line is resident and either dirty or
-    /// holding a copy bit-identical to `dram`; a hit refreshes the line's
-    /// LRU position.
+    /// is `dram`, in one scan of the line's set. It hits when the line is
+    /// resident and either dirty or holding a copy bit-identical to
+    /// `dram`; a hit refreshes the line's LRU position, a miss leaves it.
     fn lookup(&mut self, line: u64, dram: Option<&StoredNode>) -> bool {
         self.stats.accesses += 1;
-        let hit = match self.copy(line) {
-            Some(copy) => dram == Some(copy) || self.is_dirty(line),
-            None => false,
-        };
-        if hit {
+        let hit = self.tags.find(line).filter(|&(slot, dirty)| {
+            dirty || dram.is_some_and(|d| self.copies.get(slot) == Some(d))
+        });
+        if let Some((slot, _)) = hit {
             self.stats.hits += 1;
-            self.tags.lookup(line, false);
+            self.tags.touch(slot);
         } else {
             self.stats.misses += 1;
         }
-        hit
+        hit.is_some()
     }
 
     /// Installs the just-verified `node` as line `line`'s copy, in the slot
@@ -554,6 +548,13 @@ impl SecureMemory {
     /// [`BATCH_BLOCKS`]-sized groups. Blocks never written are skipped (a
     /// read of one fails before any pad is needed).
     ///
+    /// Returns at once unless the engine's AES backend evaluates 8 lanes
+    /// in one pass ([`Backend::batches_lanes`]: only the bitsliced
+    /// `hardened` circuit). On the table backends a batch is 8 scalar
+    /// calls, so prefetching would only repeat each read's data, counter
+    /// and memo lookups ahead of time, and derive every lane of a group
+    /// with one memo miss.
+    ///
     /// This is a pure wall-clock accelerator and deliberately bypasses
     /// the modeled crypto tally: architecturally the MC still issues one
     /// pipeline invocation per access, and the private `pads_for` charges it
@@ -563,6 +564,9 @@ impl SecureMemory {
     where
         I: IntoIterator<Item = u64>,
     {
+        if !self.backend.batches_lanes() {
+            return;
+        }
         let mut reqs = [(0u64, 0u64); BATCH_BLOCKS];
         let mut n = 0usize;
         for block in blocks {
@@ -1538,7 +1542,7 @@ mod tests {
             assert_eq!(m.read(victim).unwrap(), [4u8; 64]);
         }
         assert!(
-            m.counter_cache.copy(m.node_line(0, l0a)).is_none(),
+            m.counter_cache.tags.find(m.node_line(0, l0a)).is_none(),
             "a's L0 was evicted"
         );
         assert_eq!(m.read(a), Err(ReadError::MetadataTampered { level: 1 }));
@@ -1564,7 +1568,7 @@ mod tests {
             m.write(block, [1u8; 64]).unwrap();
             m.read(block).unwrap();
         }
-        assert!(m.counter_cache.copy(m.node_line(0, 0)).is_none());
+        assert!(m.counter_cache.tags.find(m.node_line(0, 0)).is_none());
         // Every node read last still hits on its copy, whichever slot the
         // fill reused.
         for &block in blocks.iter().rev().take(4) {
@@ -1576,6 +1580,31 @@ mod tests {
         }
         // Reads fill lines but never grow the on-chip state.
         assert_eq!(m.counter_cache.footprint_bytes(), on_chip);
+
+        // One scan per lookup keeps the hit rule's LRU effects: a clean
+        // line whose copy differs from DRAM misses and keeps its place as
+        // the set's next victim, and a hit moves its line behind the rest.
+        let mut cache = CounterCache::new();
+        let node = |b: u8| StoredNode {
+            image: [b; 64],
+            mac: u64::from(b),
+        };
+        let lines: Vec<u64> = (0..COUNTER_CACHE_WAYS as u64 + 2)
+            .map(|k| k * sets)
+            .collect();
+        for (b, &line) in (0u8..).zip(&lines[..COUNTER_CACHE_WAYS]) {
+            assert_eq!(cache.fill(line, node(b)), None);
+        }
+        assert!(!cache.lookup(lines[0], Some(&node(99))));
+        assert!(!cache.lookup(lines[0], None));
+        assert!(cache.lookup(lines[1], Some(&node(1))));
+        assert_eq!(cache.stats.hits, 1);
+        assert_eq!(cache.stats.misses, 2);
+        cache.fill(lines[COUNTER_CACHE_WAYS], node(200));
+        assert!(cache.tags.find(lines[0]).is_none(), "the miss kept LRU");
+        cache.fill(lines[COUNTER_CACHE_WAYS + 1], node(201));
+        assert!(cache.tags.find(lines[1]).is_some(), "the hit refreshed");
+        assert!(cache.tags.find(lines[2]).is_none());
     }
 
     #[test]
@@ -1595,7 +1624,7 @@ mod tests {
         ));
         // Node 0's image now lags its trusted state: the uncached walk
         // reports it, and the cached engine must not serve a hit instead.
-        assert!(m.counter_cache.copy(m.node_line(0, 0)).is_none());
+        assert!(m.counter_cache.tags.find(m.node_line(0, 0)).is_none());
         assert_eq!(m.read(0), Err(ReadError::MetadataTampered { level: 0 }));
 
         // The same refusal with node 0's line dirty: the line is dropped,
@@ -1613,7 +1642,7 @@ mod tests {
             m.write(1, [4u8; 64]),
             Err(WriteError::CounterSaturated { .. })
         ));
-        assert!(m.counter_cache.copy(m.node_line(0, 0)).is_none());
+        assert!(m.counter_cache.tags.find(m.node_line(0, 0)).is_none());
         let writebacks = m.counter_cache_stats().writebacks;
         m.flush_counter_cache();
         assert_eq!(

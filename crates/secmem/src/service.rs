@@ -748,12 +748,14 @@ impl SecureMemoryService {
                 }
             }
         }
-        // Batched pad prefetch: collect this sub-batch's read targets and
-        // derive their pads through the pipeline's 8-wide AES path before
-        // serving any entry. Purely a wall-clock accelerator — pads are
-        // bit-identical with or without it, and the engine's modeled
-        // crypto tally is charged at access time either way — so the
-        // determinism contract below is untouched.
+        // Batched pad prefetch: collect this sub-batch's read targets and,
+        // on a backend whose AES evaluates 8 lanes in one pass (hardened),
+        // derive their pads through the pipeline's 8-wide path before
+        // serving any entry; elsewhere the engine returns at once. Purely
+        // a wall-clock accelerator — pads are bit-identical with or
+        // without it, and the engine's modeled crypto tally is charged at
+        // access time either way — so the determinism contract below is
+        // untouched.
         {
             let state = &mut *guard;
             let reads = indices

@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use rmcc::secmem::{
-    digest_results, serial_reference, Access, HealthConfig, SecureMemory, SecureMemoryService,
-    ServiceConfig,
+    digest_results, serial_reference, Access, AccessResult, HealthConfig, SecureMemory,
+    SecureMemoryService, ServiceConfig,
 };
 use rmcc::sim::service_run::{access_for_event, run_service, ServingScenario};
 use rmcc::workloads::corpus::{KvServingConfig, Scenario};
@@ -160,6 +160,79 @@ fn counter_cache_flushes_change_no_result_or_digest() {
         .map(|s| s.writebacks)
         .sum();
     assert!(writebacks > 0, "the flushes wrote dirty nodes back");
+}
+
+/// Dirty counter-cache victims reach DRAM on the service path. One shard's
+/// stream cycles through more L0 regions whose node lines share a
+/// counter-cache set than the set has ways: every round writes them all
+/// (resident lines turn dirty) and then reads them all, and each read's
+/// fill evicts a line the writes left dirty, which `verify_path` writes
+/// back. A twin flushed after every batch never holds a dirty line across
+/// batches; the two must agree on every result and shard digest, and the
+/// unflushed service must count write-backs, all of them from evictions.
+#[test]
+fn dirty_counter_cache_victims_are_written_back_by_read_fills() {
+    use rmcc::secmem::engine::{COUNTER_CACHE_LINES, COUNTER_CACHE_WAYS};
+    const SHARDS: usize = 2;
+    const SHARD: usize = 1;
+    // 16,384 L0 regions: 256 per set of the counter cache.
+    const BIG_DATA_BYTES: u64 = 1 << 27;
+    let cfg = ServiceConfig::new(SHARDS, BIG_DATA_BYTES);
+    let plain = SecureMemoryService::new(&cfg);
+    let flushed = SecureMemoryService::new(&cfg);
+    let snap = plain.snapshot();
+    let coverage = snap.coverage();
+    let sets = (COUNTER_CACHE_LINES / COUNTER_CACHE_WAYS) as u64;
+    // The first block of each L0 region whose node line falls in set 5
+    // and that `SHARD` owns: half again as many as the set has ways.
+    let blocks: Vec<u64> = plain
+        .with_shard(SHARD, |mem| {
+            let layout = mem.layout();
+            (0..layout.level_count(0))
+                .filter(|&r| (layout.node_addr(0, r) >> 6) % sets == 5)
+                .map(|r| r * coverage)
+                .filter(|&block| snap.shard_of(block) == SHARD)
+                .take(COUNTER_CACHE_WAYS * 3 / 2)
+                .collect()
+        })
+        .expect("shard exists");
+    assert_eq!(blocks.len(), COUNTER_CACHE_WAYS * 3 / 2);
+    let digests = |service: &SecureMemoryService| {
+        (0..SHARDS)
+            .map(|shard| service.shard_state_digest(shard))
+            .collect::<Vec<_>>()
+    };
+    for round in 0..4u8 {
+        let writes: Vec<Access> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, &block)| Access::Write {
+                block,
+                data: [round.wrapping_mul(64).wrapping_add(i as u8); 64],
+            })
+            .collect();
+        let reads: Vec<Access> = blocks.iter().map(|&block| Access::Read { block }).collect();
+        for (phase, batch) in [("write", &writes), ("read", &reads)] {
+            let got = plain.submit(batch);
+            let twin = flushed.submit(batch);
+            assert_eq!(got.len(), twin.len());
+            for (i, (result, twin_result)) in got.iter().zip(&twin).enumerate() {
+                assert_eq!(result, twin_result, "round {round} {phase} {i}");
+                if let (Some(Access::Write { data, .. }), "read") = (writes.get(i), phase) {
+                    assert_eq!(*result, AccessResult::Data(*data), "round {round} read {i}");
+                }
+            }
+            for shard in 0..SHARDS {
+                flushed.with_shard(shard, SecureMemory::flush_counter_cache);
+            }
+            assert_eq!(digests(&plain), digests(&flushed), "round {round} {phase}s");
+        }
+    }
+    let writebacks = plain.counter_cache_stats()[SHARD].writebacks;
+    assert!(
+        writebacks >= (COUNTER_CACHE_WAYS * 3 / 2) as u64,
+        "read fills wrote back only {writebacks} dirty victims"
+    );
 }
 
 /// The pinned telemetry series of each seeded small service run, one per
