@@ -109,7 +109,84 @@ impl HierarchyOutcome {
     }
 }
 
-/// The three-level hierarchy filter.
+/// One core's private L1 and L2 caches: the filter in front of a
+/// last-level cache that the caller owns.
+///
+/// [`PrivateCaches::access`] is the hierarchy's only filter. [`Hierarchy`]
+/// runs it against its own LLC; the simulator's timing cores run it against
+/// an LLC that several cores may share.
+#[derive(Debug, Clone)]
+pub struct PrivateCaches {
+    l1: SetAssocCache,
+    l2: SetAssocCache,
+}
+
+impl PrivateCaches {
+    /// Builds the L1 and L2 of `config` (its `l3` is the caller's).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either level's set count is not a power of two.
+    pub fn new(config: &HierarchyConfig) -> Self {
+        PrivateCaches {
+            l1: SetAssocCache::with_capacity(config.l1.bytes, config.l1.ways),
+            l2: SetAssocCache::with_capacity(config.l2.bytes, config.l2.ways),
+        }
+    }
+
+    /// Filters one *line* access through L1, L2 and `llc`: lookups top-down,
+    /// fills bottom-up, dirty victims cascading one level at a time, and
+    /// only dirty LLC evictions surfacing as memory writebacks.
+    pub fn access(
+        &mut self,
+        line_addr: u64,
+        is_write: bool,
+        llc: &mut SetAssocCache,
+    ) -> HierarchyOutcome {
+        let mut out = HierarchyOutcome::default();
+
+        if self.l1.lookup(line_addr, is_write) {
+            out.hit_level = Some(Level::L1);
+            return out;
+        }
+        if self.l2.lookup(line_addr, false) {
+            out.hit_level = Some(Level::L2);
+        } else if llc.lookup(line_addr, false) {
+            out.hit_level = Some(Level::L3);
+        } else {
+            // Full miss: fetch from memory and install in the LLC.
+            if let Some(v) = llc.fill(line_addr, false).filter(|v| v.dirty) {
+                out.writebacks.push(v.addr);
+            }
+        }
+
+        // Fill into L2 unless it already hit there.
+        if out.hit_level != Some(Level::L2) {
+            self.fill_l2(line_addr, false, llc, &mut out.writebacks);
+        }
+        // Fill into L1, carrying the write's dirty bit; a dirty L1 victim
+        // goes into L2.
+        if let Some(v) = self.l1.fill(line_addr, is_write).filter(|v| v.dirty) {
+            self.fill_l2(v.addr, true, llc, &mut out.writebacks);
+        }
+        out
+    }
+
+    /// Installs `addr` in L2. A dirty L2 victim goes into `llc`, and a dirty
+    /// LLC victim of that becomes a memory writeback.
+    fn fill_l2(&mut self, addr: u64, dirty: bool, llc: &mut SetAssocCache, wbs: &mut Vec<u64>) {
+        let l2_victim = self.l2.fill(addr, dirty).filter(|v| v.dirty);
+        if let Some(v) = l2_victim
+            .and_then(|v| llc.fill(v.addr, true))
+            .filter(|v| v.dirty)
+        {
+            wbs.push(v.addr);
+        }
+    }
+}
+
+/// The three-level hierarchy filter: [`PrivateCaches`] in front of an LLC
+/// of its own.
 ///
 /// Lines are filled into every level on the way up (mostly-inclusive), and
 /// dirty victims trickle down level by level; only dirty LLC evictions reach
@@ -128,8 +205,7 @@ impl HierarchyOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
-    l1: SetAssocCache,
-    l2: SetAssocCache,
+    private: PrivateCaches,
     l3: SetAssocCache,
 }
 
@@ -141,8 +217,7 @@ impl Hierarchy {
     /// Panics if any level's set count is not a power of two.
     pub fn new(config: HierarchyConfig) -> Self {
         Hierarchy {
-            l1: SetAssocCache::with_capacity(config.l1.bytes, config.l1.ways),
-            l2: SetAssocCache::with_capacity(config.l2.bytes, config.l2.ways),
+            private: PrivateCaches::new(&config),
             l3: SetAssocCache::with_capacity(config.l3.bytes, config.l3.ways),
         }
     }
@@ -154,64 +229,16 @@ impl Hierarchy {
 
     /// Accesses a *line* address.
     pub fn access(&mut self, line_addr: u64, is_write: bool) -> HierarchyOutcome {
-        let mut out = HierarchyOutcome::default();
-
-        if self.l1.lookup(line_addr, is_write) {
-            out.hit_level = Some(Level::L1);
-            return out;
-        }
-        if self.l2.lookup(line_addr, false) {
-            out.hit_level = Some(Level::L2);
-        } else if self.l3.lookup(line_addr, false) {
-            out.hit_level = Some(Level::L3);
-        } else {
-            // Full miss: fetch from memory and install in the LLC.
-            if let Some(v) = self.l3.fill(line_addr, false) {
-                if v.dirty {
-                    out.writebacks.push(v.addr);
-                }
-            }
-        }
-
-        // Fill into L2 unless it already hit there.
-        if out.hit_level != Some(Level::L2) {
-            if let Some(v) = self.l2.fill(line_addr, false) {
-                if v.dirty {
-                    self.spill_into_l3(v.addr, &mut out.writebacks);
-                }
-            }
-        }
-        // Fill into L1, carrying the write's dirty bit.
-        if let Some(v) = self.l1.fill(line_addr, is_write) {
-            if v.dirty {
-                self.spill_into_l2(v.addr, &mut out.writebacks);
-            }
-        }
-        out
-    }
-
-    /// Installs a dirty L1 victim into L2, cascading further victims.
-    fn spill_into_l2(&mut self, addr: u64, writebacks: &mut Vec<u64>) {
-        if let Some(v) = self.l2.fill(addr, true) {
-            if v.dirty {
-                self.spill_into_l3(v.addr, writebacks);
-            }
-        }
-    }
-
-    /// Installs a dirty L2 victim into the LLC, emitting a memory writeback
-    /// if the LLC in turn evicts a dirty line.
-    fn spill_into_l3(&mut self, addr: u64, writebacks: &mut Vec<u64>) {
-        if let Some(v) = self.l3.fill(addr, true) {
-            if v.dirty {
-                writebacks.push(v.addr);
-            }
-        }
+        self.private.access(line_addr, is_write, &mut self.l3)
     }
 
     /// Per-level statistics `(l1, l2, l3)`.
     pub fn stats(&self) -> (CacheStats, CacheStats, CacheStats) {
-        (self.l1.stats(), self.l2.stats(), self.l3.stats())
+        (
+            self.private.l1.stats(),
+            self.private.l2.stats(),
+            self.l3.stats(),
+        )
     }
 
     /// LLC statistics alone — the denominator of most figures in the paper.
@@ -222,8 +249,8 @@ impl Hierarchy {
     /// Resets statistics at every level, preserving contents (end of
     /// warm-up).
     pub fn reset_stats(&mut self) {
-        self.l1.reset_stats();
-        self.l2.reset_stats();
+        self.private.l1.reset_stats();
+        self.private.l2.reset_stats();
         self.l3.reset_stats();
     }
 }

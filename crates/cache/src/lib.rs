@@ -9,7 +9,9 @@
 //! * [`tlb`] — a TLB model (4 KB / 2 MB pages) for reproducing the paper's
 //!   Figure 4 TLB-miss ↔ counter-miss correlation.
 //! * [`hierarchy`] — an L1/L2/LLC filter that turns a core's access stream
-//!   into the LLC-miss/writeback stream the secure-memory machinery sees.
+//!   into the LLC-miss/writeback stream the secure-memory machinery sees;
+//!   its private half ([`hierarchy::PrivateCaches`]) also runs against an
+//!   LLC that several cores share.
 //!
 //! # Example
 //!
@@ -28,6 +30,8 @@ pub mod hierarchy;
 pub mod set_assoc;
 pub mod tlb;
 
-pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyOutcome, Level, LevelConfig};
+pub use hierarchy::{
+    Hierarchy, HierarchyConfig, HierarchyOutcome, Level, LevelConfig, PrivateCaches,
+};
 pub use set_assoc::{AccessOutcome, CacheStats, Eviction, SetAssocCache, LINE_BYTES};
 pub use tlb::{PageSize, Tlb};

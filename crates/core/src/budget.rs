@@ -208,12 +208,17 @@ impl TrafficBudget {
         self.epochs
     }
 
+    /// Whether the remaining budget covers `requests` of overhead traffic
+    /// (exactly when [`TrafficBudget::try_consume`] would spend them).
+    pub fn can_afford(&self, requests: u64) -> bool {
+        self.available_fp >= u128::from(requests) << FP_BITS
+    }
+
     /// Attempts to spend `requests` of overhead traffic; `false` (and no
     /// spend) if the remaining budget cannot cover it.
     pub fn try_consume(&mut self, requests: u64) -> bool {
-        let requests_fp = u128::from(requests) << FP_BITS;
-        if self.available_fp >= requests_fp {
-            self.available_fp -= requests_fp;
+        if self.can_afford(requests) {
+            self.available_fp -= u128::from(requests) << FP_BITS;
             self.total_spent = self.total_spent.saturating_add(requests);
             // Saturating: resets every epoch, cannot approach u64::MAX.
             self.epoch_spent = self.epoch_spent.saturating_add(requests);
@@ -232,6 +237,7 @@ mod tests {
     fn initial_allowance_and_exhaustion() {
         let mut b = TrafficBudget::new(0.01);
         assert!((b.available() - 10_000.0).abs() < 1e-9);
+        assert!(b.can_afford(10_000) && !b.can_afford(10_001));
         assert!(b.try_consume(10_000));
         assert!(!b.try_consume(1));
         assert_eq!(b.total_spent(), 10_000);
@@ -348,6 +354,7 @@ mod tests {
     fn failed_consume_does_not_spend() {
         let mut b = TrafficBudget::new(0.01);
         let before = b.available();
+        assert!(!b.can_afford(1_000_000));
         assert!(!b.try_consume(1_000_000));
         assert!((b.available() - before).abs() < 1e-12);
         assert_eq!(b.total_spent(), 0);

@@ -13,6 +13,7 @@
 //! * every memory access ticks [`Rmcc::on_memory_access`], which rolls
 //!   epochs: table reselection, monitor reset, budget replenishment.
 
+use rmcc_crypto::otp::COUNTER_MAX;
 use rmcc_secmem::counters::CounterBlock;
 
 use crate::budget::TrafficBudget;
@@ -298,23 +299,24 @@ impl Rmcc {
     }
 
     /// Memoization-aware counter update (§IV-B, §IV-C2) for the counter in
-    /// `slot` of `cb` at `level`.
+    /// `slot` of `cb` at `level`: decide, then commit once.
     ///
-    /// Decision procedure:
-    /// 1. Prefer the nearest memoized value above the current one.
-    /// 2. If that jump would overflow the block while the baseline `+1`
-    ///    would not, the relevel is charged to the budget
-    ///    (`2 × coverage` requests); with insufficient budget, fall back
-    ///    to `+1`.
-    /// 3. If even `+1` overflows, relevel — for free — to the nearest
+    /// 1. Jump to the nearest memoized value above the current one if the
+    ///    block can encode it: one `try_write` checks the fit and commits.
+    /// 2. Else, if the budget covers the relevel the jump needs
+    ///    (`2 × coverage` requests), relevel onto the table. Only now is the
+    ///    baseline `+1` checked (`can_write`): the relevel is charged only
+    ///    if `+1` would have fit, since otherwise it was forced anyway.
+    /// 3. Else take `+1` if it fits, or relevel for free to the nearest
     ///    memoized value at or above the forced target.
     ///
-    /// `read_triggered` marks updates for read requests whose counters
-    /// missed the table (§IV-C1); those pay 2 requests of overhead
-    /// (re-encrypt + writeback) up front and are skipped when the budget
-    /// is dry.
+    /// Every fit check refuses what [`CounterBlock::can_write`] refuses: a
+    /// target above [`COUNTER_MAX`] or below the block's major.
     ///
-    /// Returns `None` only for read-triggered updates that were declined.
+    /// `read_triggered` marks updates for read requests whose counters
+    /// missed the table (§IV-C1): step 1 only, paying 2 requests
+    /// (re-encrypt + writeback) from the budget. It returns `None` when
+    /// declined, which a writeback never is.
     pub fn update_counter(
         &mut self,
         level: usize,
@@ -322,9 +324,10 @@ impl Rmcc {
         slot: usize,
         read_triggered: bool,
     ) -> Option<UpdateOutcome> {
-        let coverage = cb.org().coverage() as u64;
+        if read_triggered && !self.cfg.read_triggered {
+            return None;
+        }
         let current = cb.value(slot);
-        let baseline = current + 1;
         // The DoS guard reverts to the baseline policy for the rest of the
         // epoch (§IV-D2); forced relevels below still steer to memoized
         // values, which costs nothing either way.
@@ -336,100 +339,41 @@ impl Rmcc {
                 .and_then(|lvl| lvl.table.nearest_memoized_above(current))
         };
 
-        // Read-triggered updates are pure overhead: gate them up front.
-        let read_cost = 2u64;
-        if read_triggered {
-            if !self.cfg.read_triggered || self.dos_paused {
-                return None;
-            }
-            // Nothing to conform to → no point paying.
-            let target = memo_target?;
-            if !cb.can_write(slot, target) {
-                // A read-triggered relevel is too aggressive; skip.
-                return None;
-            }
-            let charged = self
-                .budgets
-                .get_mut(level)
-                .is_some_and(|b| b.try_consume(read_cost));
-            if !charged {
-                return None;
-            }
-            #[allow(clippy::expect_used)]
-            // audit:allow(R1, reason = "can_write verified above makes this write infallible")
-            cb.try_write(slot, target).expect("can_write verified");
-            return Some(UpdateOutcome {
-                new_value: target,
-                releveled: false,
-                charged_requests: read_cost,
-                landed_on_memoized: true,
-            });
-        }
-
-        let baseline_fits = cb.can_write(slot, baseline);
         if let Some(target) = memo_target {
-            if cb.can_write(slot, target) {
-                // Free: one writeback either way.
-                #[allow(clippy::expect_used)]
-                // audit:allow(R1, reason = "can_write verified above makes this write infallible")
-                cb.try_write(slot, target).expect("can_write verified");
+            // The budget is checked before the write and spent after it,
+            // so a refused write spends nothing.
+            let read_cost = if read_triggered { 2 } else { 0 };
+            let budget = self.budgets.get_mut(level)?;
+            if budget.can_afford(read_cost)
+                && write_fits(cb, slot, target)
+                && budget.try_consume(read_cost)
+            {
                 return Some(UpdateOutcome {
                     new_value: target,
                     releveled: false,
-                    charged_requests: 0,
+                    charged_requests: read_cost,
                     landed_on_memoized: true,
                 });
             }
-            if baseline_fits {
-                // The jump needs a relevel the baseline would avoid: charge
-                // the re-encryption traffic (read + write per covered block).
-                let cost = 2 * coverage;
-                let charged = self
-                    .budgets
-                    .get_mut(level)
-                    .is_some_and(|b| b.try_consume(cost));
-                if charged {
-                    let min_target = cb.max_value() + 1;
-                    let relevel_to = self.relevel_target(level, min_target);
-                    cb.relevel(relevel_to);
-                    self.note_relevel();
-                    return Some(UpdateOutcome {
-                        new_value: relevel_to,
-                        releveled: true,
-                        charged_requests: cost,
-                        landed_on_memoized: self.is_memoized(level, relevel_to),
-                    });
-                }
-                // Budget dry: baseline behaviour.
-                #[allow(clippy::expect_used)]
-                // audit:allow(R1, reason = "baseline_fits verified above makes this write infallible")
-                cb.try_write(slot, baseline).expect("baseline fits");
-                return Some(UpdateOutcome {
-                    new_value: baseline,
-                    releveled: false,
-                    charged_requests: 0,
-                    landed_on_memoized: self.is_memoized(level, baseline),
-                });
+            let cost = 2 * cb.org().coverage() as u64;
+            if !read_triggered && budget.can_afford(cost) {
+                // Covered, so the spend cannot fail.
+                let charged = if cb.can_write(slot, current + 1) && budget.try_consume(cost) {
+                    cost
+                } else {
+                    0
+                };
+                return Some(self.relevel(level, cb, charged));
             }
-            // Both overflow: the relevel is forced anyway; steering it to a
-            // memoized value costs nothing extra (§IV-C2).
-            let min_target = cb.max_value() + 1;
-            let relevel_to = self.relevel_target(level, min_target);
-            cb.relevel(relevel_to);
-            self.note_relevel();
-            return Some(UpdateOutcome {
-                new_value: relevel_to,
-                releveled: true,
-                charged_requests: 0,
-                landed_on_memoized: self.is_memoized(level, relevel_to),
-            });
+        }
+        if read_triggered {
+            // Nothing to conform to without a relevel: no point paying.
+            return None;
         }
 
-        // No memoized value above: baseline policy.
-        if baseline_fits {
-            #[allow(clippy::expect_used)]
-            // audit:allow(R1, reason = "baseline_fits verified above makes this write infallible")
-            cb.try_write(slot, baseline).expect("baseline fits");
+        // Baseline policy; a forced relevel still lands on the table.
+        let baseline = current + 1;
+        if write_fits(cb, slot, baseline) {
             Some(UpdateOutcome {
                 new_value: baseline,
                 releveled: false,
@@ -437,29 +381,26 @@ impl Rmcc {
                 landed_on_memoized: self.is_memoized(level, baseline),
             })
         } else {
-            let min_target = cb.max_value() + 1;
-            let relevel_to = self.relevel_target(level, min_target);
-            cb.relevel(relevel_to);
-            self.note_relevel();
-            Some(UpdateOutcome {
-                new_value: relevel_to,
-                releveled: true,
-                charged_requests: 0,
-                landed_on_memoized: self.is_memoized(level, relevel_to),
-            })
+            Some(self.relevel(level, cb, 0))
         }
     }
 
-    /// The relevel target: the nearest memoized value ≥ `min_target`, or
-    /// `min_target` itself when nothing suitable is memoized.
-    fn relevel_target(&self, level: usize, min_target: u64) -> u64 {
-        let memoized = self.levels.get(level).and_then(|lvl| {
-            lvl.table
-                .nearest_memoized_above(min_target.saturating_sub(1))
-        });
-        match memoized {
-            Some(t) if t >= min_target => t,
-            _ => min_target,
+    /// Relevels `cb` to the nearest memoized value at or above its forced
+    /// target (`max + 1`), or to the forced target itself.
+    fn relevel(&mut self, level: usize, cb: &mut CounterBlock, charged: u64) -> UpdateOutcome {
+        let min_target = cb.max_value() + 1;
+        let relevel_to = self
+            .levels
+            .get(level)
+            .and_then(|lvl| lvl.table.relevel_target(min_target))
+            .unwrap_or(min_target);
+        cb.relevel(relevel_to);
+        self.note_relevel();
+        UpdateOutcome {
+            new_value: relevel_to,
+            releveled: true,
+            charged_requests: charged,
+            landed_on_memoized: self.is_memoized(level, relevel_to),
         }
     }
 
@@ -468,6 +409,14 @@ impl Rmcc {
             .get(level)
             .is_some_and(|lvl| lvl.table.probe(value))
     }
+}
+
+/// Raises `slot` to `target` if the block can encode it, in one fit check
+/// that also commits. A target above [`COUNTER_MAX`] is refused, as
+/// [`CounterBlock::can_write`] refuses it, instead of reaching the write's
+/// assertion.
+fn write_fits(cb: &mut CounterBlock, slot: usize, target: u64) -> bool {
+    target <= COUNTER_MAX && cb.try_write(slot, target).is_ok()
 }
 
 #[cfg(test)]
@@ -694,5 +643,191 @@ mod dos_guard_tests {
             r.on_memory_access();
         }
         assert!(!r.dos_paused(), "guard must clear each epoch");
+    }
+}
+
+#[cfg(test)]
+mod update_differential_tests {
+    //! `update_counter` (decide, then commit once) against a transcription
+    //! of the procedure it replaced, which proved every fit with
+    //! `can_write` before writing: same outcome, block, budget spend and
+    //! DoS-guard state on random blocks, ladders and budgets.
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use rmcc_secmem::counters::CounterOrg::{Mono8, Morphable128, Sc64};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn outcome(new_value: u64, releveled: bool, charged: u64, memo: bool) -> UpdateOutcome {
+        UpdateOutcome {
+            new_value,
+            releveled,
+            charged_requests: charged,
+            landed_on_memoized: memo,
+        }
+    }
+
+    /// The previous decision procedure, kept as the oracle.
+    fn reference_update(
+        r: &mut Rmcc,
+        level: usize,
+        cb: &mut CounterBlock,
+        slot: usize,
+        read_triggered: bool,
+    ) -> Option<UpdateOutcome> {
+        let coverage = cb.org().coverage() as u64;
+        let current = cb.value(slot);
+        let baseline = current + 1;
+        let memo_target = if r.dos_paused {
+            None
+        } else {
+            r.levels
+                .get(level)
+                .and_then(|lvl| lvl.table.nearest_memoized_above(current))
+        };
+        if read_triggered {
+            if !r.cfg.read_triggered || r.dos_paused {
+                return None;
+            }
+            let target = memo_target?;
+            if !cb.can_write(slot, target)
+                || !r.budgets.get_mut(level).is_some_and(|b| b.try_consume(2))
+            {
+                return None;
+            }
+            cb.try_write(slot, target).unwrap();
+            return Some(outcome(target, false, 2, true));
+        }
+        let baseline_fits = cb.can_write(slot, baseline);
+        let relevel = |r: &mut Rmcc, cb: &mut CounterBlock, charged: u64| {
+            let min_target = cb.max_value() + 1;
+            let memoized = r.levels.get(level).and_then(|lvl| {
+                lvl.table
+                    .nearest_memoized_above(min_target.saturating_sub(1))
+            });
+            let relevel_to = match memoized {
+                Some(t) if t >= min_target => t,
+                _ => min_target,
+            };
+            cb.relevel(relevel_to);
+            r.note_relevel();
+            outcome(relevel_to, true, charged, r.is_memoized(level, relevel_to))
+        };
+        if let Some(target) = memo_target {
+            if cb.can_write(slot, target) {
+                cb.try_write(slot, target).unwrap();
+                return Some(outcome(target, false, 0, true));
+            }
+            if baseline_fits {
+                let cost = 2 * coverage;
+                if r.budgets
+                    .get_mut(level)
+                    .is_some_and(|b| b.try_consume(cost))
+                {
+                    return Some(relevel(r, cb, cost));
+                }
+                cb.try_write(slot, baseline).unwrap();
+                return Some(outcome(baseline, false, 0, r.is_memoized(level, baseline)));
+            }
+            return Some(relevel(r, cb, 0));
+        }
+        if baseline_fits {
+            cb.try_write(slot, baseline).unwrap();
+            Some(outcome(baseline, false, 0, r.is_memoized(level, baseline)))
+        } else {
+            Some(relevel(r, cb, 0))
+        }
+    }
+
+    fn pick<T: Copy>(rng: &mut TestRng, options: &[T]) -> T {
+        options[rng.below(options.len() as u64) as usize]
+    }
+
+    /// An engine, a block and a run of `(level, slot, read_triggered)`
+    /// updates (level 2 has no table). Blocks have narrow or wide minor
+    /// spreads, some ending exactly at `COUNTER_MAX`; ladders sit inside,
+    /// just above or far above the block, or straddle `COUNTER_MAX`;
+    /// budgets sit around one relevel's cost, dry included; the DoS guard
+    /// is clear, one relevel from tripping, or tripped.
+    struct Cases;
+
+    impl Strategy for Cases {
+        type Value = (Rmcc, CounterBlock, Vec<(usize, usize, bool)>);
+
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            let org = pick(rng, &[Mono8, Sc64, Morphable128]);
+            let coverage = org.coverage() as u64;
+            let spread = pick(rng, &[0, 3, 8, 127, if org == Sc64 { 120 } else { 511 }]);
+            let major = match rng.below(4) {
+                0 => COUNTER_MAX - spread - rng.below(4),
+                _ => rng.below(2_000),
+            };
+            let minor = |rng: &mut TestRng| {
+                let any = rng.below(spread + 1);
+                pick(rng, &[0, spread, any])
+            };
+            let minors = (0..coverage).map(|_| minor(rng)).collect();
+            let cb = CounterBlock::with_state(org, major, minors);
+
+            let mut cfg = RmccConfig::paper();
+            cfg.read_triggered = rng.below(4) != 0;
+            let mut rmcc = Rmcc::new(cfg);
+            for _ in 0..rng.below(4) {
+                let anchor = cb.value(rng.below(coverage) as usize);
+                let start = match rng.below(4) {
+                    0 => anchor.saturating_sub(4) + rng.below(20),
+                    1 => anchor + pick(rng, &[1, 7, 8, 120, 130, 300, 600, 1_000]),
+                    2 => COUNTER_MAX - rng.below(10),
+                    _ => 1_000_000,
+                };
+                rmcc.seed_group(rng.below(3) as usize, start);
+            }
+            for budget in &mut rmcc.budgets {
+                let allowance = pick(rng, &[0, 1, 2, 3, 16, 127, 128, 129, 255, 256, 257, 10_000]);
+                *budget = TrafficBudget::with_epoch(allowance as f64 / 1_000.0, 1_000);
+            }
+            rmcc.epoch_relevels = pick(rng, &[0, DOS_OVERFLOW_GUARD - 1, DOS_OVERFLOW_GUARD]);
+            rmcc.dos_paused = rmcc.epoch_relevels >= DOS_OVERFLOW_GUARD;
+            let updates = (0..1 + rng.below(12))
+                .map(|_| {
+                    (
+                        rng.below(3) as usize,
+                        rng.below(coverage) as usize,
+                        rng.below(2) == 0,
+                    )
+                })
+                .collect();
+            (rmcc, cb, updates)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        #[test]
+        fn update_counter_matches_the_check_then_write_procedure(case in Cases) {
+            let (mut r_ref, mut cb_ref, updates) = case;
+            let (mut r_new, mut cb_new) = (r_ref.clone(), cb_ref.clone());
+            for &(level, slot, read_triggered) in &updates {
+                // A panic (a relevel past `COUNTER_MAX`) must happen in both
+                // or in neither.
+                let new = catch_unwind(AssertUnwindSafe(|| {
+                    r_new.update_counter(level, &mut cb_new, slot, read_triggered)
+                }))
+                .map_err(|_| ());
+                let reference = catch_unwind(AssertUnwindSafe(|| {
+                    reference_update(&mut r_ref, level, &mut cb_ref, slot, read_triggered)
+                }))
+                .map_err(|_| ());
+                prop_assert_eq!(new, reference, "outcome: {:?}", (level, slot, read_triggered));
+                if new.is_err() {
+                    break;
+                }
+                prop_assert_eq!(&cb_new, &cb_ref);
+                prop_assert_eq!(&r_new.budgets, &r_ref.budgets);
+                prop_assert_eq!(r_new.dos_paused, r_ref.dos_paused);
+                prop_assert_eq!(r_new.epoch_relevels, r_ref.epoch_relevels);
+            }
+        }
     }
 }

@@ -25,7 +25,9 @@
 //! miniature: bump to the nearest memoized value above the current counter
 //! when the budget affords the extra traffic, else fall back to the
 //! baseline `current + 1`; relevel targets snap up to memoized values for
-//! free (the relevel re-encrypts its coverage region either way).
+//! free (the relevel re-encrypts its coverage region either way), by the
+//! same [`MemoizationTable::relevel_target`] rule the simulator's engine
+//! uses.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -140,15 +142,12 @@ impl CounterUpdatePolicy for MemoPolicy {
 
     fn relevel_target(&mut self, min_target: u64) -> u64 {
         let mut core = lock(&self.core);
-        match core
-            .table
-            .nearest_memoized_above(min_target.saturating_sub(1))
-        {
-            Some(target) if target >= min_target => {
+        match core.table.relevel_target(min_target) {
+            Some(target) => {
                 core.memoized_relevels = core.memoized_relevels.saturating_add(1);
                 target
             }
-            _ => min_target,
+            None => min_target,
         }
     }
 

@@ -361,6 +361,14 @@ impl MemoizationTable {
             .min()
     }
 
+    /// The smallest live-group value at or above `min_target`: where a
+    /// relevel that must reach `min_target` lands when it is steered onto
+    /// the table (§IV-C2). `None` when no live group reaches that high.
+    pub fn relevel_target(&self, min_target: u64) -> Option<u64> {
+        self.nearest_memoized_above(min_target.saturating_sub(1))
+            .filter(|&t| t >= min_target)
+    }
+
     /// Inserts a new group starting at `start`, evicting the least
     /// frequently used live group if the table is full (§IV-C3). The victim
     /// joins the shadow ring with its use counter intact.

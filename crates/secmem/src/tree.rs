@@ -8,8 +8,6 @@
 //! values, the tree structure, and the Observed-System-Max register
 //! (§IV-D2) consistent.
 
-use std::collections::BTreeMap;
-
 use crate::arena::PagedArena;
 use crate::counters::{CounterBlock, CounterOrg, WouldOverflow};
 use crate::layout::MetadataLayout;
@@ -357,19 +355,14 @@ impl MetadataState {
         splitmix64(acc ^ self.max_observed)
     }
 
-    /// Iterates over every *touched* data-block counter value along with the
-    /// number of data blocks currently holding it — the source for the
-    /// paper's Figure 15 coverage metric.
-    pub fn value_histogram(&self) -> BTreeMap<u64, u64> {
-        let mut hist = BTreeMap::new();
-        if let Some(l0) = self.levels.first() {
-            for cb in l0.values() {
-                for v in cb.values() {
-                    *hist.entry(v).or_insert(0) += 1;
-                }
-            }
-        }
-        hist
+    /// Every *touched* data-block counter value, one per data block that a
+    /// materialized L0 counter block covers — the source for the
+    /// conformance gauge and the paper's Figure 15 coverage metric.
+    pub fn data_counter_values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.levels
+            .first()
+            .into_iter()
+            .flat_map(|l0| l0.values().flat_map(CounterBlock::values))
     }
 }
 
@@ -467,12 +460,17 @@ mod tests {
     }
 
     #[test]
-    fn value_histogram_counts_blocks_per_value() {
+    fn data_counter_values_list_every_slot_of_touched_blocks() {
         let mut m = MetadataState::new(CounterOrg::Sc64, 1 << 30, InitPolicy::Zero);
         m.write_data_counter(0, 5).unwrap(); // touches block 0 of cb 0
-        let hist = m.value_histogram();
-        assert_eq!(hist[&5], 1);
-        assert_eq!(hist[&0], 63, "remaining slots of the touched cb are 0");
+        let values: Vec<u64> = m.data_counter_values().collect();
+        assert_eq!(values.len(), 64);
+        assert_eq!(values.iter().filter(|&&v| v == 5).count(), 1);
+        assert_eq!(
+            values.iter().filter(|&&v| v == 0).count(),
+            63,
+            "remaining slots of the touched cb are 0"
+        );
         assert_eq!(m.touched_blocks(0), 1);
     }
 

@@ -13,13 +13,12 @@ use crate::config::SystemConfig;
 use crate::engine::CoreEngine;
 use crate::mc::MemoryController;
 use crate::page_map::PageMap;
-use crate::runner::Runner;
 
 pub use crate::engine::CoreStats;
 
 /// One [`CoreEngine`] plus a private memory system (LLC, page map, memory
 /// controller); implements [`TraceSink`] so workloads stream straight into
-/// it, and [`Runner`] for the unified runner API.
+/// it.
 pub struct CoreModel {
     cfg: SystemConfig,
     engine: CoreEngine,
@@ -74,6 +73,12 @@ impl TraceSink for CoreModel {
 }
 
 impl CoreModel {
+    /// Streams one complete trace from `source` and reports on it.
+    pub fn run(&mut self, source: &mut dyn TraceSource) -> crate::detailed::DetailedReport {
+        source.stream(self);
+        self.report()
+    }
+
     /// The detailed report for everything streamed so far.
     pub fn report(&mut self) -> crate::detailed::DetailedReport {
         let stats = self.stats();
@@ -86,15 +91,6 @@ impl CoreModel {
             dram: self.mc.dram_stats(),
             meta: *self.mc.meta_stats(),
         }
-    }
-}
-
-impl Runner for CoreModel {
-    type Report = crate::detailed::DetailedReport;
-
-    fn run(&mut self, source: &mut dyn TraceSource) -> Self::Report {
-        source.stream(self);
-        self.report()
     }
 }
 

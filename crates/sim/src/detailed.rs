@@ -8,6 +8,7 @@ use rmcc_dram::config::Ps;
 use crate::config::{Scheme, SystemConfig};
 use crate::core_model::CoreModel;
 use crate::meta_engine::MetaStats;
+use crate::page_map::PLACEMENT_SEED;
 
 /// End-of-run report for one detailed simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +59,7 @@ pub fn run_detailed(
     graph: Option<&rmcc_workloads::graph::Csr>,
     cfg: &SystemConfig,
 ) -> Result<DetailedReport, rmcc_workloads::workload::WorkloadError> {
-    let mut core = CoreModel::new(cfg, 0x9a9e);
+    let mut core = CoreModel::new(cfg, PLACEMENT_SEED);
     match graph {
         Some(_) => workload.source_on(graph, scale).try_stream(&mut core)?,
         None => workload.source(scale).try_stream(&mut core)?,

@@ -2,21 +2,21 @@
 //!
 //! One implementation of the interval-style core model — 4-wide dispatch,
 //! 192-entry ROB, MSHR-bounded memory-level parallelism, dependent-load
-//! serialization — plus the private L1/L2 filter in front of a last-level
-//! cache. Both the single-core detailed runner ([`crate::core_model`]) and
-//! the lockstep multicore runner ([`crate::multicore`]) drive this engine,
-//! so their functional behaviour provably cannot diverge: the single-core
-//! runners own their LLC, the multicore runner shares one LLC and memory
-//! controller across engines.
+//! serialization — in front of a last-level cache. Both the single-core
+//! detailed runner ([`crate::core_model`]) and the lockstep multicore runner
+//! ([`crate::multicore`]) drive this engine, so their functional behaviour
+//! cannot diverge: the single-core runner owns its LLC, the multicore
+//! runner shares one LLC and memory controller across engines.
 //!
-//! The cache filter replicates [`rmcc_cache::hierarchy::Hierarchy`]
-//! operation-for-operation (same lookup/fill order, same dirty-victim
-//! cascade), which is what keeps the detailed runner's `MetaStats`
-//! byte-identical to the lifetime runner's (`tests/sim_consistency.rs`).
+//! Each engine's private L1/L2 is an [`rmcc_cache::hierarchy::PrivateCaches`],
+//! the same filter [`rmcc_cache::hierarchy::Hierarchy`] runs for the
+//! lifetime runner, handed the LLC on every access. That is what keeps the
+//! detailed runner's `MetaStats` byte-identical to the lifetime runner's
+//! (`tests/sim_consistency.rs`).
 
 use std::collections::VecDeque;
 
-use rmcc_cache::hierarchy::Level;
+use rmcc_cache::hierarchy::{Level, PrivateCaches};
 use rmcc_cache::set_assoc::SetAssocCache;
 use rmcc_dram::config::Ps;
 use rmcc_workloads::trace::TraceEvent;
@@ -53,23 +53,13 @@ impl CoreStats {
     }
 }
 
-/// What one access did at the LLC boundary (the engine-internal analogue of
-/// [`rmcc_cache::hierarchy::HierarchyOutcome`]).
-struct FilterOutcome {
-    /// The highest level that hit, or `None` for a full miss.
-    hit_level: Option<Level>,
-    /// Dirty LLC victims that must be written back to memory.
-    writebacks: Vec<u64>,
-}
-
 /// One core's timing state: private L1/L2, ROB, MSHR window, and dispatch
 /// cursor. The LLC, page map, and memory controller are passed into
 /// [`CoreEngine::step`] so they can be owned (single-core) or shared
 /// (multicore).
 pub struct CoreEngine {
     scheme: Scheme,
-    l1: SetAssocCache,
-    l2: SetAssocCache,
+    caches: PrivateCaches,
     /// In-flight instructions in program order: `(instruction count,
     /// completion time)`. Occupancy is counted in *instructions* so the
     /// 192-entry ROB limit matches Table I.
@@ -99,11 +89,9 @@ impl std::fmt::Debug for CoreEngine {
 impl CoreEngine {
     /// Builds one core's private state for `cfg`.
     pub fn new(cfg: &SystemConfig) -> Self {
-        let h = &cfg.hierarchy;
         CoreEngine {
             scheme: cfg.scheme,
-            l1: SetAssocCache::with_capacity(h.l1.bytes, h.l1.ways),
-            l2: SetAssocCache::with_capacity(h.l2.bytes, h.l2.ways),
+            caches: PrivateCaches::new(&cfg.hierarchy),
             rob: VecDeque::with_capacity(ROB_ENTRIES),
             rob_occupancy: 0,
             outstanding: VecDeque::new(),
@@ -141,55 +129,6 @@ impl CoreEngine {
         }
     }
 
-    /// Filters one line access through private L1/L2 and the given LLC,
-    /// replicating `Hierarchy::access` exactly: lookups top-down, fills
-    /// bottom-up, dirty victims cascading one level at a time, and only
-    /// dirty LLC evictions surfacing as memory writebacks.
-    fn filter(&mut self, line: u64, is_write: bool, llc: &mut SetAssocCache) -> FilterOutcome {
-        let mut out = FilterOutcome {
-            hit_level: None,
-            writebacks: Vec::new(),
-        };
-
-        if self.l1.lookup(line, is_write) {
-            out.hit_level = Some(Level::L1);
-            return out;
-        }
-        if self.l2.lookup(line, false) {
-            out.hit_level = Some(Level::L2);
-        } else if llc.lookup(line, false) {
-            out.hit_level = Some(Level::L3);
-        } else {
-            // Full miss: fetch from memory and install in the LLC.
-            if let Some(v) = llc.fill(line, false) {
-                if v.dirty {
-                    out.writebacks.push(v.addr);
-                }
-            }
-        }
-
-        // Fill into L2 unless it already hit there.
-        if out.hit_level != Some(Level::L2) {
-            if let Some(v) = self.l2.fill(line, false) {
-                if v.dirty {
-                    spill_into_llc(llc, v.addr, &mut out.writebacks);
-                }
-            }
-        }
-        // Fill into L1, carrying the write's dirty bit.
-        if let Some(v) = self.l1.fill(line, is_write) {
-            if v.dirty {
-                // Dirty L1 victim into L2, cascading further victims.
-                if let Some(v2) = self.l2.fill(v.addr, true) {
-                    if v2.dirty {
-                        spill_into_llc(llc, v2.addr, &mut out.writebacks);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Executes one trace event against the shared memory system: advances
     /// dispatch, applies ROB and MSHR limits, filters the access through
     /// the caches, and issues any LLC miss and dirty writebacks to `mc`.
@@ -221,7 +160,7 @@ impl CoreEngine {
 
         let paddr = page_map.translate(ev.addr);
         let line = paddr >> 6;
-        let outcome = self.filter(line, ev.is_write, llc);
+        let outcome = self.caches.access(line, ev.is_write, llc);
 
         // Issue time: dependent loads wait for the feeding load's data.
         let mut issue = if ev.dep_on_prev_load {
@@ -268,21 +207,10 @@ impl CoreEngine {
     }
 }
 
-/// Installs a dirty L2 victim into the LLC, emitting a memory writeback if
-/// the LLC in turn evicts a dirty line (mirror of `Hierarchy::spill_into_l3`).
-fn spill_into_llc(llc: &mut SetAssocCache, addr: u64, writebacks: &mut Vec<u64>) {
-    if let Some(v) = llc.fill(addr, true) {
-        if v.dirty {
-            writebacks.push(v.addr);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Scheme;
-    use rmcc_cache::hierarchy::Hierarchy;
     use rmcc_secmem::tree::InitPolicy;
 
     fn cfg(scheme: Scheme) -> SystemConfig {
@@ -290,36 +218,6 @@ mod tests {
         c.counter_init = InitPolicy::Zero;
         c.data_bytes = 1 << 30;
         c
-    }
-
-    /// The engine's private-cache + LLC filter must be operation-for-
-    /// operation identical to the three-level `Hierarchy` — this is the
-    /// invariant that keeps detailed-mode MetaStats equal to lifetime-mode.
-    #[test]
-    fn filter_matches_hierarchy_exactly() {
-        let c = cfg(Scheme::NonSecure);
-        let mut engine = CoreEngine::new(&c);
-        let mut llc = CoreEngine::llc_for(&c);
-        let mut hierarchy = Hierarchy::new(c.hierarchy);
-
-        // A mixed read/write stream with reuse, conflict, and eviction.
-        let mut lines: Vec<(u64, bool)> = Vec::new();
-        for i in 0..40_000u64 {
-            let line = (i * 2_654_435_761) % 150_000;
-            lines.push((line, i % 3 == 0));
-        }
-        for &(line, is_write) in &lines {
-            let h = hierarchy.access(line, is_write);
-            let e = engine.filter(line, is_write, &mut llc);
-            assert_eq!(
-                h.hit_level, e.hit_level,
-                "hit level diverged at line {line}"
-            );
-            assert_eq!(
-                h.writebacks, e.writebacks,
-                "writebacks diverged at line {line}"
-            );
-        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ use rmcc_workloads::workload::{graph_for, Scale, Workload};
 use crate::config::{Scheme, SystemConfig};
 use crate::detailed::{run_detailed, DetailedReport};
 use crate::lifetime::{run_lifetime, LifetimeReport, LifetimeRunner};
-use crate::runner::Runner;
 
 /// One experiment cell whose workload panicked. The harness isolates the
 /// panic: the cell is reported failed, every other cell completes normally.
@@ -715,10 +714,8 @@ impl Experiments {
         let rows = self.per_workload(|w| {
             let graph = w.uses_graph().then_some(&self.graph);
             let mut runner = LifetimeRunner::new(&cfg);
-            let _report = match graph {
-                Some(_) => runner.run(&mut w.source_on(graph, self.scale)),
-                None => runner.run(&mut w.source(self.scale)),
-            };
+            // `graph` is present exactly for the kernels that need one.
+            runner.run(&mut w.source_on(graph, self.scale));
             runner.engine().finish_telemetry().unwrap_or_default()
         });
         profile.finish();

@@ -12,10 +12,9 @@
 //! * [`multicore`] — n cores with private L1/L2 sharing one LLC, counter
 //!   cache, and DDR4 channel (§V's 4-thread GraphBig methodology).
 //! * [`mc`] — the timing memory controller over the DDR4 channel.
-//! * [`engine`] — the shared ROB/MLP/private-cache core engine used by
-//!   every timing mode.
-//! * [`runner`] — the common [`runner::Runner`] interface: stream a
-//!   [`rmcc_workloads::trace::TraceSource`] in, get a report out.
+//! * [`engine`] — the shared ROB/MLP core engine used by every timing
+//!   mode, in front of the same private-cache filter the lifetime runner
+//!   uses ([`rmcc_cache::hierarchy::PrivateCaches`]).
 //! * [`core_model`] — one [`engine::CoreEngine`] packaged with its own
 //!   LLC and memory controller.
 //! * [`lifetime`] — the Pin-style whole-lifetime functional runner.
@@ -23,6 +22,11 @@
 //! * [`experiments`] — one harness per table/figure of the evaluation,
 //!   fanning (workload, scheme) cells across a scoped-thread worker pool
 //!   (`RMCC_JOBS` overrides the width).
+//!
+//! Each runner ([`LifetimeRunner`], [`CoreModel`], [`MultiCoreRunner`]) has
+//! a `run` method that streams a [`rmcc_workloads::trace::TraceSource`] in
+//! and returns its report, and all of them place pages with
+//! [`PLACEMENT_SEED`].
 //!
 //! # Example
 //!
@@ -55,7 +59,6 @@ pub mod mc;
 pub mod meta_engine;
 pub mod multicore;
 pub mod page_map;
-pub mod runner;
 pub mod service_run;
 
 pub use config::{Scheme, SystemConfig};
@@ -72,5 +75,4 @@ pub use meta_engine::{
     ChainFetch, MemoTally, MetaEngine, MetaStats, ReadOutcome, SideKind, SideRequest, WriteOutcome,
 };
 pub use multicore::{run_multicore, MultiCoreReport, MultiCoreRunner};
-pub use page_map::PageMap;
-pub use runner::Runner;
+pub use page_map::{PageMap, PLACEMENT_SEED};

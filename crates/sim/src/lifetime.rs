@@ -13,8 +13,7 @@ use rmcc_workloads::trace::{TraceEvent, TraceSink, TraceSource};
 
 use crate::config::{Scheme, SystemConfig};
 use crate::meta_engine::{MetaEngine, MetaStats};
-use crate::page_map::PageMap;
-use crate::runner::Runner;
+use crate::page_map::{PageMap, PLACEMENT_SEED};
 
 /// End-of-run report for one (workload, configuration) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +104,7 @@ impl LifetimeRunner {
             // Table I: 1536-entry TLBs (12-way → power-of-two sets).
             tlb_4k: Tlb::new(1536, 12, PageSize::Small4K),
             tlb_2m: Tlb::new(1536, 12, PageSize::Huge2M),
-            page_map: PageMap::new(cfg.page_size, 0x9a9e, cfg.data_bytes),
+            page_map: PageMap::new(cfg.page_size, PLACEMENT_SEED, cfg.data_bytes),
             scheme: cfg.scheme,
             accesses: 0,
             llc_misses: 0,
@@ -129,47 +128,37 @@ impl LifetimeRunner {
         &mut self.engine
     }
 
+    /// Streams one complete trace from `source` and reports on it.
+    pub fn run(&mut self, source: &mut dyn TraceSource) -> LifetimeReport {
+        source.stream(self);
+        self.report()
+    }
+
     /// Produces the end-of-run report.
     pub fn report(&mut self) -> LifetimeReport {
         let meta = *self.engine.stats();
-        let (coverage, max_counter) = match self.engine.rmcc() {
-            Some(r) => {
-                let table = r.table(0);
-                let size = table.config().group_size;
-                let starts: Vec<u64> = table.groups().iter().map(|g| g.start).collect();
-                let hist = self
-                    .engine
-                    .metadata()
-                    .map(|m| m.value_histogram())
-                    .unwrap_or_default();
-                let mut total = 0u64;
-                let mut n = 0u64;
-                for s in starts {
-                    for v in s..s + size {
-                        total += hist.get(&v).copied().unwrap_or(0);
-                        n += 1;
-                    }
-                }
-                let max = self
-                    .engine
-                    .metadata()
-                    .map(|m| m.max_observed())
-                    .unwrap_or(0);
-                (if n == 0 { 0.0 } else { total as f64 / n as f64 }, max)
-            }
-            None => {
-                let max = self
-                    .engine
-                    .metadata()
-                    .map(|m| m.max_observed())
-                    .unwrap_or(0);
-                (0.0, max)
-            }
+        // Figure 15: touched data blocks per live group value, each value
+        // counting once for every group that holds it.
+        let groups: Vec<(u64, u64)> = self.engine.rmcc().map_or_else(Vec::new, |r| {
+            let size = r.table(0).config().group_size;
+            let live = r.table(0).groups().iter();
+            live.map(|g| (g.start, g.start + size)).collect()
+        });
+        let slots: u64 = groups.iter().map(|(start, end)| end - start).sum();
+        let state = self.engine.metadata();
+        let max_counter = state.as_ref().map_or(0, |m| m.max_observed());
+        let covered: u64 = state.map_or(0, |m| {
+            let holding = |v: u64| groups.iter().filter(|&&(s, e)| s <= v && v < e).count();
+            m.data_counter_values().map(|v| holding(v) as u64).sum()
+        });
+        let coverage = if slots == 0 {
+            0.0
+        } else {
+            covered as f64 / slots as f64
         };
-        let (spent_l0, spent_l1) = match self.engine.rmcc() {
-            Some(r) => (r.budget(0).total_spent(), r.budget(1).total_spent()),
-            None => (0, 0),
-        };
+        let (spent_l0, spent_l1) = self.engine.rmcc().map_or((0, 0), |r| {
+            (r.budget(0).total_spent(), r.budget(1).total_spent())
+        });
         LifetimeReport {
             scheme: self.scheme,
             accesses: self.accesses,
@@ -210,15 +199,6 @@ impl TraceSink for LifetimeRunner {
             self.llc_writebacks += 1;
             self.engine.on_writeback(wb << 6);
         }
-    }
-}
-
-impl Runner for LifetimeRunner {
-    type Report = LifetimeReport;
-
-    fn run(&mut self, source: &mut dyn TraceSource) -> LifetimeReport {
-        source.stream(self);
-        self.report()
     }
 }
 

@@ -12,9 +12,10 @@
 use std::collections::VecDeque;
 
 use rmcc_cache::set_assoc::SetAssocCache;
-use rmcc_core::rmcc::{Rmcc, DEFAULT_LEVELS};
+use rmcc_core::rmcc::{Rmcc, UpdateOutcome, DEFAULT_LEVELS};
 use rmcc_core::table::{LookupResult, TableStats};
 use rmcc_crypto::stats::{CryptoCost, CryptoStats};
+use rmcc_secmem::counters::CounterBlock;
 use rmcc_secmem::layout::BLOCK_BYTES;
 use rmcc_secmem::tree::MetadataState;
 use rmcc_telemetry::{CounterId, GaugeId, HistogramId, MetricsRegistry, Telemetry};
@@ -503,18 +504,14 @@ impl MetaEngine {
             None => (TableStats::default(), 0, None),
         };
         // Conformance: fraction of live (touched) data counters whose value
-        // the table can currently serve. The histogram is a BTreeMap, so
-        // iteration order is the sorted counter values.
+        // the table can currently serve.
         let conformance = match (self.meta.as_ref(), self.rmcc.as_ref()) {
             (Some(m), Some(r)) => {
-                let hist = m.value_histogram();
                 let mut total = 0u64;
                 let mut covered = 0u64;
-                for (v, n) in &hist {
-                    total = total.saturating_add(*n);
-                    if r.table(0).probe(*v) {
-                        covered = covered.saturating_add(*n);
-                    }
+                for v in m.data_counter_values() {
+                    total += 1;
+                    covered += u64::from(r.table(0).probe(v));
                 }
                 if total == 0 {
                     0.0
@@ -680,6 +677,21 @@ impl MetaEngine {
         hit_level
     }
 
+    /// Raises the counter in `slot` of the counter block at `level`/`index`
+    /// for a writeback: RMCC's memoization-aware update where a table covers
+    /// the level, else [`baseline_update`]. Counts the budget it charged.
+    fn bump_counter(&mut self, level: usize, index: u64, slot: usize) -> UpdateOutcome {
+        let meta = self.meta.as_mut().expect("secure scheme");
+        let update = match self.rmcc.as_mut() {
+            Some(r) if r.covers_level(level) => meta
+                .with_block_mut(level, index, |cb| r.update_counter(level, cb, slot, false))
+                .expect("writeback updates always apply"),
+            _ => meta.with_block_mut(level, index, |cb| baseline_update(cb, slot)),
+        };
+        self.stats.rmcc_charged_requests += update.charged_requests;
+        update
+    }
+
     /// A dirty metadata block leaves the counter cache: write it to memory
     /// and bump its protecting counter, releveling ancestors as needed.
     fn write_back_node(
@@ -709,51 +721,22 @@ impl MetaEngine {
 
         // Bump the protecting counter — memoization-aware when a table
         // covers it (the L1 table covers counters of L0 blocks).
-        let rmcc = self.rmcc.as_mut();
-        let (releveled, charged) = match rmcc {
-            Some(r) if r.covers_level(parent_level) => {
-                let out = meta.with_block_mut(parent_level, parent_index, |cb| {
-                    r.update_counter(parent_level, cb, slot, false)
-                });
-                let out = out.expect("writeback updates always apply");
-                (out.releveled, out.charged_requests)
-            }
-            _ => {
-                let releveled = meta.with_block_mut(parent_level, parent_index, |cb| {
-                    let target = cb.value(slot) + 1;
-                    match cb.try_write(slot, target) {
-                        Ok(()) => false,
-                        Err(of) => {
-                            cb.relevel(of.min_relevel_target);
-                            true
-                        }
-                    }
-                });
-                (releveled, 0)
-            }
-        };
-        self.stats.rmcc_charged_requests += charged;
+        let releveled = self
+            .bump_counter(parent_level, parent_index, slot)
+            .releveled;
+        let meta = self.meta.as_ref().expect("secure scheme");
 
         if releveled {
             // Every child of the parent changed its protecting counter:
             // re-MAC them all (read + write each).
             self.stats.relevels_hi += 1;
+            self.stats.overflow_hi_requests += 2 * arity;
             for child_slot in 0..arity {
                 let child = parent_index * arity + child_slot;
                 let child_addr = meta
                     .layout()
                     .node_addr(level, child.min(meta.layout().level_count(level) - 1));
-                side.push(SideRequest {
-                    addr: child_addr,
-                    is_write: false,
-                    kind: SideKind::OverflowHigher,
-                });
-                side.push(SideRequest {
-                    addr: child_addr,
-                    is_write: true,
-                    kind: SideKind::OverflowHigher,
-                });
-                self.stats.overflow_hi_requests += 2;
+                push_reencrypt(side, child_addr, SideKind::OverflowHigher);
             }
         }
 
@@ -819,6 +802,7 @@ impl MetaEngine {
                 // Read-triggered memoization-aware update (§IV-C1).
                 if !out.l0_memo_hit {
                     let meta = self.meta.as_mut().expect("secure scheme");
+                    let l0_line = meta.layout().node_addr(0, l0_index) >> 6;
                     let updated =
                         meta.with_block_mut(0, l0_index, |cb| r.update_counter(0, cb, slot, true));
                     if let Some(u) = updated {
@@ -831,15 +815,7 @@ impl MetaEngine {
                             kind: SideKind::ReadTriggeredReencrypt,
                         });
                         // The counter block is now dirty in the cache.
-                        self.counter_cache.access(
-                            self.meta
-                                .as_mut()
-                                .expect("secure")
-                                .layout()
-                                .node_addr(0, l0_index)
-                                >> 6,
-                            true,
-                        );
+                        self.counter_cache.access(l0_line, true);
                     }
                 }
             }
@@ -878,67 +854,63 @@ impl MetaEngine {
         self.resolve_chain(l0_index, true, &mut out.fetches, &mut out.side);
 
         // Counter update.
-        let meta = self.meta.as_mut().expect("secure scheme");
-        let (new_value, releveled, charged, landed_memoized) = match self.rmcc.as_mut() {
-            Some(r) => {
-                r.note_system_max(meta.max_observed());
-                let u = meta
-                    .with_block_mut(0, l0_index, |cb| r.update_counter(0, cb, slot, false))
-                    .expect("writeback updates always apply");
-                (
-                    u.new_value,
-                    u.releveled,
-                    u.charged_requests,
-                    u.landed_on_memoized,
-                )
-            }
-            None => {
-                let (v, releveled) = meta.with_block_mut(0, l0_index, |cb| {
-                    let target = cb.value(slot) + 1;
-                    match cb.try_write(slot, target) {
-                        Ok(()) => (target, false),
-                        Err(of) => {
-                            cb.relevel(of.min_relevel_target);
-                            (of.min_relevel_target, true)
-                        }
-                    }
-                });
-                (v, releveled, 0, false)
-            }
-        };
-        out.counter_value = new_value;
-        out.releveled = releveled;
-        self.stats.rmcc_charged_requests += charged;
+        if let (Some(r), Some(meta)) = (self.rmcc.as_mut(), self.meta.as_ref()) {
+            r.note_system_max(meta.max_observed());
+        }
+        let update = self.bump_counter(0, l0_index, slot);
+        out.counter_value = update.new_value;
+        out.releveled = update.releveled;
 
-        if releveled {
+        if update.releveled {
             // Re-encrypt every covered data block: read + write each.
             self.stats.relevels_l0 += 1;
-            let base = l0_index * coverage;
-            for s in 0..coverage {
-                let addr = (base + s) * BLOCK_BYTES;
-                out.side.push(SideRequest {
-                    addr,
-                    is_write: false,
-                    kind: SideKind::OverflowL0,
-                });
-                out.side.push(SideRequest {
-                    addr,
-                    is_write: true,
-                    kind: SideKind::OverflowL0,
-                });
-                self.stats.overflow_l0_requests += 2;
+            self.stats.overflow_l0_requests += 2 * coverage;
+            for block in l0_index * coverage..(l0_index + 1) * coverage {
+                push_reencrypt(&mut out.side, block * BLOCK_BYTES, SideKind::OverflowL0);
             }
         }
 
         if self.telemetry.is_on() {
             // Writebacks re-encrypt under the new counter value; the
             // counter-only AES is memoized when the update conformed.
-            self.note_op_crypto(landed_memoized, &out.fetches, false);
+            self.note_op_crypto(update.landed_on_memoized, &out.fetches, false);
         }
         self.stats.counter_fetches += out.fetches.len() as u64;
         let requests = 1 + out.fetches.len() as u64 + out.side.len() as u64;
         self.tick(requests);
         out
+    }
+}
+
+/// A relevel's re-encryption (or re-MAC) of `addr`: a read, then a write.
+fn push_reencrypt(side: &mut Vec<SideRequest>, addr: u64, kind: SideKind) {
+    for is_write in [false, true] {
+        side.push(SideRequest {
+            addr,
+            is_write,
+            kind,
+        });
+    }
+}
+
+/// The baseline counter update: `+1`, or a relevel to the block's
+/// `min_relevel_target` when `+1` does not fit. It touches no [`Rmcc`]
+/// state, so updates at levels without a memoization table never count
+/// toward its DoS guard.
+fn baseline_update(cb: &mut CounterBlock, slot: usize) -> UpdateOutcome {
+    let target = cb.value(slot) + 1;
+    let (new_value, releveled) = match cb.try_write(slot, target) {
+        Ok(()) => (target, false),
+        Err(of) => {
+            cb.relevel(of.min_relevel_target);
+            (of.min_relevel_target, true)
+        }
+    };
+    UpdateOutcome {
+        new_value,
+        releveled,
+        charged_requests: 0,
+        landed_on_memoized: false,
     }
 }
 

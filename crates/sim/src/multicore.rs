@@ -17,8 +17,7 @@ use crate::config::SystemConfig;
 use crate::engine::CoreEngine;
 use crate::mc::MemoryController;
 use crate::meta_engine::MetaStats;
-use crate::page_map::PageMap;
-use crate::runner::Runner;
+use crate::page_map::{PageMap, PLACEMENT_SEED};
 
 /// Virtual-address stride separating per-thread partitions (1 TB).
 const THREAD_STRIDE: u64 = 1 << 40;
@@ -62,12 +61,10 @@ impl MultiCoreRunner {
             n_cores,
         }
     }
-}
 
-impl Runner for MultiCoreRunner {
-    type Report = MultiCoreReport;
-
-    fn run(&mut self, source: &mut dyn TraceSource) -> MultiCoreReport {
+    /// Buffers one complete trace from `source`, replays it on every core
+    /// and reports on the run.
+    pub fn run(&mut self, source: &mut dyn TraceSource) -> MultiCoreReport {
         // One shared buffer; each core replays it offset into its own 1 TB
         // region (the seed buffered one full copy per core).
         let mut buf = VecSink::default();
@@ -79,7 +76,7 @@ impl Runner for MultiCoreRunner {
         let mut cursors = vec![0usize; n];
         let mut llc = CoreEngine::llc_for(&self.cfg);
         let mut mc = MemoryController::new(&self.cfg);
-        let page_map = PageMap::new(self.cfg.page_size, 0x9a9e, self.cfg.data_bytes);
+        let page_map = PageMap::new(self.cfg.page_size, PLACEMENT_SEED, self.cfg.data_bytes);
 
         // Lockstep: always advance the core that is furthest behind, so
         // shared structures see an approximately time-ordered request

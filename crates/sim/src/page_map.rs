@@ -12,6 +12,11 @@
 
 use rmcc_cache::tlb::PageSize;
 
+/// The placement seed of every simulator runner (lifetime, detailed and
+/// multicore), so one trace lands on the same physical frames in each mode
+/// and their metadata statistics can be compared exactly.
+pub const PLACEMENT_SEED: u64 = 0x9a9e;
+
 /// A bijective virtual→physical page mapper over a bounded physical space.
 ///
 /// # Examples

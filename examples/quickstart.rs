@@ -13,7 +13,7 @@ use rmcc::secmem::engine::{PipelineKind, SecureMemory};
 use rmcc::sim::config::{Scheme, SystemConfig};
 use rmcc::sim::core_model::CoreModel;
 use rmcc::sim::lifetime::{run_lifetime, LifetimeRunner};
-use rmcc::sim::runner::Runner;
+use rmcc::sim::PLACEMENT_SEED;
 use rmcc::workloads::workload::{Scale, Workload};
 
 fn main() {
@@ -77,11 +77,11 @@ fn main() {
     }
 
     banner("4. One trace source, every runner");
-    // A workload is a streaming trace source; any Runner consumes it —
+    // A workload is a streaming trace source; every runner's `run` takes it —
     // kernels re-execute per run, nothing is buffered.
     let cfg = SystemConfig::lifetime(Scheme::Rmcc);
     let functional = LifetimeRunner::new(&cfg).run(&mut Workload::Mcf.source(Scale::Tiny));
-    let timed = CoreModel::new(&cfg, 0x9a9e).run(&mut Workload::Mcf.source(Scale::Tiny));
+    let timed = CoreModel::new(&cfg, PLACEMENT_SEED).run(&mut Workload::Mcf.source(Scale::Tiny));
     println!(
         "  lifetime: {} accesses, {} LLC misses",
         functional.accesses, functional.llc_misses

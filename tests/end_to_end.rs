@@ -123,14 +123,10 @@ impl CounterUpdatePolicy for RmccPolicy {
     }
 
     fn relevel_target(&mut self, min_target: u64) -> u64 {
-        match self
-            .0
+        self.0
             .table(0)
-            .nearest_memoized_above(min_target.saturating_sub(1))
-        {
-            Some(t) if t >= min_target => t,
-            _ => min_target,
-        }
+            .relevel_target(min_target)
+            .unwrap_or(min_target)
     }
 }
 

@@ -4,7 +4,6 @@
 use rmcc::sim::config::{Scheme, SystemConfig};
 use rmcc::sim::experiments::Experiments;
 use rmcc::sim::lifetime::LifetimeRunner;
-use rmcc::sim::runner::Runner;
 use rmcc::workloads::trace::{CountingSink, TraceSource};
 use rmcc::workloads::workload::{Scale, Workload};
 
