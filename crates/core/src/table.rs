@@ -173,6 +173,9 @@ pub struct MemoizationTable {
     cfg: TableConfig,
     /// Live groups, unordered.
     groups: Vec<Group>,
+    /// Max-Counter-in-Table, a register (§IV-C3): the largest value across
+    /// `groups`, refreshed wherever the live set changes.
+    max_in_table: Option<u64>,
     /// Shadow ring: most recently evicted groups, newest at the back.
     evicted: VecDeque<Group>,
     /// MRU single values (front = most recent).
@@ -192,6 +195,7 @@ impl MemoizationTable {
         MemoizationTable {
             cfg,
             groups: Vec::with_capacity(cfg.n_groups()),
+            max_in_table: None,
             evicted: VecDeque::with_capacity(cfg.n_evicted()),
             mru_values: VecDeque::with_capacity(N_MRU_VALUES),
             poisoned: BTreeSet::new(),
@@ -216,11 +220,18 @@ impl MemoizationTable {
 
     /// Max-Counter-in-Table: the largest memoized value across live groups,
     /// or `None` while the table is empty.
+    #[inline]
     pub fn max_counter_in_table(&self) -> Option<u64> {
-        self.groups
+        self.max_in_table
+    }
+
+    /// Recomputes Max-Counter-in-Table after the live set changed.
+    fn refresh_max_in_table(&mut self) {
+        self.max_in_table = self
+            .groups
             .iter()
             .map(|g| g.start + self.cfg.group_size - 1)
-            .max()
+            .max();
     }
 
     /// Whether `value` lies inside a live group.
@@ -277,6 +288,7 @@ impl MemoizationTable {
     /// resets *state*, not *telemetry history*.
     pub fn reset_entries(&mut self) {
         self.groups.clear();
+        self.max_in_table = None;
         self.evicted.clear();
         self.mru_values.clear();
         self.poisoned.clear();
@@ -397,6 +409,7 @@ impl MemoizationTable {
             start,
             use_count: 1,
         });
+        self.refresh_max_in_table();
     }
 
     /// Seeds the table with groups at the given starts (initialization).
@@ -459,6 +472,7 @@ impl MemoizationTable {
             }
             self.push_evicted(g);
         }
+        self.refresh_max_in_table();
         // Age.
         for g in &mut self.groups {
             g.use_count /= 2;
@@ -596,6 +610,35 @@ mod tests {
         assert_eq!(t.max_counter_in_table(), Some(107));
         t.insert_group(5000);
         assert_eq!(t.max_counter_in_table(), Some(5007));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(500))]
+
+        /// The kept Max-Counter-in-Table equals a scan of the live groups
+        /// after every step of a random run of inserts, lookups, epoch
+        /// reselections and resets.
+        #[test]
+        fn kept_max_counter_matches_a_scan(
+            group_size in 0usize..3,
+            ops in proptest::collection::vec((0u64..8, 0u64..2_000), 1..200),
+        ) {
+            let size = [4, 8, 16][group_size];
+            let mut t = MemoizationTable::new(TableConfig::with_group_size(size));
+            for (kind, value) in ops {
+                match kind {
+                    0..=2 => t.insert_group(value),
+                    3..=5 => {
+                        t.lookup(value);
+                    }
+                    6 => t.epoch_reselect((value % 2 == 0).then_some(value)),
+                    _ if value % 8 == 0 => t.reset_entries(),
+                    _ => t.epoch_reselect(None),
+                }
+                let scan = t.groups().iter().map(|g| g.start + size - 1).max();
+                proptest::prop_assert_eq!(t.max_counter_in_table(), scan);
+            }
+        }
     }
 
     #[test]

@@ -96,7 +96,102 @@ impl std::error::Error for WouldOverflow {}
 /// metadata).
 const MORPHABLE_PAYLOAD_BITS: usize = 440;
 
+/// Morphable's widest ladder field: after min-rebase every stored minor
+/// fits 9 bits.
+const MORPHABLE_MINOR_LIMIT: u64 = (1 << 9) - 1;
+
+/// A block's minors, inline at the width their format stores.
+///
+/// SC-64 minors never exceed 127 and Morphable's never exceed 511 after
+/// min-rebase (up to 1,022 between a write and its rebase), so both fit
+/// 16 bits; Mono8's 56-bit counters stay `u64`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Minors {
+    Mono8([u64; 8]),
+    Sc64([u16; 64]),
+    Morphable128([u16; 128]),
+}
+
+impl Minors {
+    fn zeroed(org: CounterOrg) -> Self {
+        match org {
+            CounterOrg::Mono8 => Minors::Mono8([0; 8]),
+            CounterOrg::Sc64 => Minors::Sc64([0; 64]),
+            CounterOrg::Morphable128 => Minors::Morphable128([0; 128]),
+        }
+    }
+
+    fn org(&self) -> CounterOrg {
+        match self {
+            Minors::Mono8(_) => CounterOrg::Mono8,
+            Minors::Sc64(_) => CounterOrg::Sc64,
+            Minors::Morphable128(_) => CounterOrg::Morphable128,
+        }
+    }
+
+    /// The minor of `slot`, if the format covers it.
+    #[inline]
+    fn get(&self, slot: usize) -> Option<u64> {
+        match self {
+            Minors::Mono8(m) => m.get(slot).copied(),
+            Minors::Sc64(m) => m.get(slot).copied().map(u64::from),
+            Minors::Morphable128(m) => m.get(slot).copied().map(u64::from),
+        }
+    }
+
+    /// Stores `minor` in `slot`. The caller has checked that it fits the
+    /// format (see [`narrow`]).
+    #[inline]
+    fn set(&mut self, slot: usize, minor: u64) {
+        fn put<T>(cells: &mut [T], slot: usize, value: T) {
+            if let Some(cell) = cells.get_mut(slot) {
+                *cell = value;
+            }
+        }
+        match self {
+            Minors::Mono8(m) => put(m, slot, minor),
+            Minors::Sc64(m) => put(m, slot, narrow(minor)),
+            Minors::Morphable128(m) => put(m, slot, narrow(minor)),
+        }
+    }
+
+    /// Every minor, widened.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let (wide, narrow): (&[u64], &[u16]) = match self {
+            Minors::Mono8(m) => (m, &[]),
+            Minors::Sc64(m) => (&[], m),
+            Minors::Morphable128(m) => (&[], m),
+        };
+        wide.iter()
+            .copied()
+            .chain(narrow.iter().copied().map(u64::from))
+    }
+}
+
+/// A minor that a fit check admitted for a 16-bit format (every admitted
+/// value is at most 1,022).
+///
+/// # Panics
+///
+/// Panics if `minor` does not fit 16 bits: storing a truncated minor would
+/// reuse a counter value.
+#[inline]
+fn narrow(minor: u64) -> u16 {
+    let narrow = u16::try_from(minor);
+    assert!(narrow.is_ok(), "minor {minor} exceeds 16 bits");
+    narrow.unwrap_or(u16::MAX)
+}
+
 /// One 64 B counter block's architectural state.
+///
+/// The minors sit inline at their format's width ([`CounterOrg::Mono8`]:
+/// `u64`, the split formats: `u16`), so a block owns no heap memory. Next to
+/// them the block keeps a summary, updated by every write, relevel and
+/// rebase: the largest minor and the number of zero minors. A Morphable
+/// block's smallest minor is always 0 (min-rebase), so the summary alone
+/// decides whether a write fits, and [`CounterBlock::max_value`] is a sum.
+/// Only a write to the slot holding a Morphable block's *only* zero minor
+/// rescans: the candidate minimum moves, and the block rebases.
 ///
 /// # Examples
 ///
@@ -111,36 +206,65 @@ const MORPHABLE_PAYLOAD_BITS: usize = 440;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterBlock {
-    org: CounterOrg,
     major: u64,
-    minors: Vec<u64>,
+    /// The largest minor.
+    max_minor: u64,
+    /// How many minors are 0.
+    zeros: usize,
+    minors: Minors,
 }
 
 impl CounterBlock {
     /// A zero-initialized counter block.
     pub fn new(org: CounterOrg) -> Self {
         CounterBlock {
-            org,
             major: 0,
-            minors: vec![0; org.coverage()],
+            max_minor: 0,
+            zeros: org.coverage(),
+            minors: Minors::zeroed(org),
         }
     }
 
     /// A counter block whose values start at arbitrary (e.g. randomized)
-    /// state: `major` plus per-slot minors, canonicalized for the format.
+    /// state: `major` plus per-slot minors, canonicalized for the format
+    /// (Morphable min-rebases: its smallest minor folds into the major).
     ///
     /// The paper's lifetime methodology randomizes all counters before
     /// measurement so RMCC cannot trivially memoize "value zero" (§V).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one minor per covered block and every minor
+    /// fits its format's field: at most 127 for SC-64, at most 511 after
+    /// the rebase for Morphable (its widest ladder field, 9 bits), and at
+    /// most [`COUNTER_MAX`] for Mono8.
     pub fn with_state(org: CounterOrg, major: u64, minors: Vec<u64>) -> Self {
         assert_eq!(minors.len(), org.coverage(), "one minor per covered block");
-        let mut cb = CounterBlock { org, major, minors };
-        cb.rebase();
+        let (base, field_max) = match org {
+            CounterOrg::Mono8 => (0, COUNTER_MAX),
+            CounterOrg::Sc64 => (0, SC64_MINOR_LIMIT),
+            CounterOrg::Morphable128 => (
+                minors.iter().copied().min().unwrap_or(0),
+                MORPHABLE_MINOR_LIMIT,
+            ),
+        };
+        let mut cb = CounterBlock::new(org);
+        cb.major = major.saturating_add(base);
+        for (slot, minor) in minors.into_iter().enumerate() {
+            let stored = minor - base;
+            assert!(
+                stored <= field_max,
+                "{org} minor {stored} (slot {slot}) exceeds the format's field ({field_max})"
+            );
+            cb.minors.set(slot, stored);
+        }
+        cb.resummarize();
         cb
     }
 
     /// The organization of this block.
     pub fn org(&self) -> CounterOrg {
-        self.org
+        self.minors.org()
     }
 
     /// The encoded counter value of covered slot `slot`.
@@ -148,30 +272,30 @@ impl CounterBlock {
     /// # Panics
     ///
     /// Panics if `slot` is out of range for the organization.
-    #[allow(clippy::indexing_slicing)] // documented panic contract
+    #[inline]
     pub fn value(&self, slot: usize) -> u64 {
+        let minor = self.minors.get(slot);
+        assert!(
+            minor.is_some(),
+            "slot {slot} outside the {} block",
+            self.org()
+        );
         // Encoded values are capped at COUNTER_MAX (< 2^56) by every write
         // path, so the sum cannot overflow; saturating makes that explicit.
-        // audit:allow(R1, reason = "slot bounds are this accessor's documented panic contract")
-        self.major.saturating_add(self.minors[slot])
+        self.major.saturating_add(minor.unwrap_or(0))
     }
 
     /// The largest encoded value in the block.
+    #[inline]
     pub fn max_value(&self) -> u64 {
-        self.major
-            .saturating_add(self.minors.iter().copied().max().unwrap_or(0))
-    }
-
-    /// Heap bytes this block owns: its minor-counter vector.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.minors.capacity() * std::mem::size_of::<u64>()
+        self.major.saturating_add(self.max_minor)
     }
 
     /// Iterates over all encoded values.
     pub fn values(&self) -> impl Iterator<Item = u64> + '_ {
         self.minors
             .iter()
-            .map(move |m| self.major.saturating_add(*m))
+            .map(move |m| self.major.saturating_add(m))
     }
 
     /// Attempts to raise slot `slot` to `target`.
@@ -188,56 +312,22 @@ impl CounterBlock {
     /// security invariant: a (block, counter) pair is never reused) or if it
     /// exceeds the 56-bit counter space.
     pub fn try_write(&mut self, slot: usize, target: u64) -> Result<(), WouldOverflow> {
+        let current = self.value(slot);
         assert!(
-            target > self.value(slot),
-            "counter must strictly increase (slot {slot}: {} -> {target})",
-            self.value(slot)
+            target > current,
+            "counter must strictly increase (slot {slot}: {current} -> {target})"
         );
         assert!(target <= COUNTER_MAX, "counter value exceeds 56 bits");
-        if target < self.major {
-            // Cannot represent values below the shared major at all.
-            return Err(WouldOverflow {
-                min_relevel_target: self.max_value() + 1,
-            });
-        }
-        let new_minor = target - self.major;
-        match self.org {
-            CounterOrg::Mono8 => {
-                // `slot` was bounds-checked by the `value(slot)` assert above.
-                if let Some(m) = self.minors.get_mut(slot) {
-                    *m = new_minor;
-                }
+        // Every value is at least the major, so neither subtraction wraps.
+        let (old_minor, new_minor) = (current - self.major, target - self.major);
+        match self.fit(slot, old_minor, new_minor) {
+            Some(low) => {
+                self.commit(slot, old_minor, new_minor, low);
                 Ok(())
             }
-            CounterOrg::Sc64 => {
-                if new_minor <= SC64_MINOR_LIMIT {
-                    if let Some(m) = self.minors.get_mut(slot) {
-                        *m = new_minor;
-                    }
-                    Ok(())
-                } else {
-                    Err(WouldOverflow {
-                        min_relevel_target: self.max_value() + 1,
-                    })
-                }
-            }
-            CounterOrg::Morphable128 => {
-                // Check the candidate multiset analytically (no clone, no
-                // allocation on the write path), then commit in place and
-                // min-rebase by the candidate minimum that check found —
-                // free: it changes no encoded values.
-                if let Some(min) = morphable_write_fits(&self.minors, slot, new_minor) {
-                    if let Some(m) = self.minors.get_mut(slot) {
-                        *m = new_minor;
-                    }
-                    self.rebase_by(min);
-                    Ok(())
-                } else {
-                    Err(WouldOverflow {
-                        min_relevel_target: self.max_value() + 1,
-                    })
-                }
-            }
+            None => Err(WouldOverflow {
+                min_relevel_target: self.max_value() + 1,
+            }),
         }
     }
 
@@ -245,16 +335,48 @@ impl CounterBlock {
     /// any state. Policies use this to weigh a memoized jump against the
     /// baseline `+1` before committing.
     pub fn can_write(&self, slot: usize, target: u64) -> bool {
-        if target <= self.value(slot) || target > COUNTER_MAX || target < self.major {
-            return false;
-        }
-        let new_minor = target - self.major;
-        match self.org {
-            CounterOrg::Mono8 => true,
-            CounterOrg::Sc64 => new_minor <= SC64_MINOR_LIMIT,
-            CounterOrg::Morphable128 => {
-                morphable_write_fits(&self.minors, slot, new_minor).is_some()
-            }
+        let current = self.value(slot);
+        target > current
+            && target <= COUNTER_MAX
+            && self
+                .fit(slot, current - self.major, target - self.major)
+                .is_some()
+    }
+
+    /// Whether slot `slot` can move from minor `old_minor` to `new_minor`
+    /// (`> old_minor`); if it can, the amount the Morphable min-rebase then
+    /// subtracts from every minor (0 for the other formats).
+    ///
+    /// A Morphable write keeps the candidate minimum at 0 unless it writes
+    /// the block's only zero minor, so the kept summary gives the
+    /// candidate's widest post-rebase minor (`max(max_minor, new)`) and its
+    /// non-zero count without a scan; the only-zero case rescans.
+    #[inline]
+    fn fit(&self, slot: usize, old_minor: u64, new_minor: u64) -> Option<u64> {
+        let minors = match &self.minors {
+            Minors::Mono8(_) => return Some(0),
+            Minors::Sc64(_) => return (new_minor <= SC64_MINOR_LIMIT).then_some(0),
+            Minors::Morphable128(m) => m,
+        };
+        let (low, nonzero) = if old_minor == 0 && self.zeros == 1 {
+            only_zero_candidate(minors, slot, new_minor)
+        } else {
+            let others_nonzero = minors.len() - self.zeros - usize::from(old_minor > 0);
+            (0, others_nonzero + 1)
+        };
+        let rebased_max = self.max_minor.max(new_minor) - low;
+        morphable_fits(minors.len(), rebased_max, nonzero).then_some(low)
+    }
+
+    /// Writes minor `new_minor` (replacing `old_minor`) into `slot` and
+    /// rebases by `low`, the candidate minimum [`CounterBlock::fit`] found.
+    fn commit(&mut self, slot: usize, old_minor: u64, new_minor: u64, low: u64) {
+        self.minors.set(slot, new_minor);
+        self.max_minor = self.max_minor.max(new_minor);
+        // The new minor exceeds the old one, so it is never 0.
+        self.zeros -= usize::from(old_minor == 0);
+        if low > 0 {
+            self.rebase_by(low);
         }
     }
 
@@ -273,71 +395,70 @@ impl CounterBlock {
             "relevel must move every counter forward"
         );
         assert!(target <= COUNTER_MAX, "counter value exceeds 56 bits");
-        self.major = target;
-        self.minors.iter_mut().for_each(|m| *m = 0);
+        *self = CounterBlock {
+            major: target,
+            ..CounterBlock::new(self.org())
+        };
     }
 
-    /// Subtracts the minimum minor from every minor and folds it into the
-    /// major — Morphable's rebase. Encoded values are unchanged, so no
-    /// re-encryption is needed.
-    fn rebase(&mut self) {
-        if self.org != CounterOrg::Morphable128 {
-            return;
-        }
-        self.rebase_by(self.minors.iter().copied().min().unwrap_or(0));
-    }
-
-    /// Rebase by `min`, which must be the minimum minor.
-    fn rebase_by(&mut self, min: u64) {
-        if min > 0 {
+    /// Morphable's min-rebase by `low`, the smallest minor: subtracts it
+    /// from every minor and folds it into the major. Encoded values are
+    /// unchanged, so no re-encryption is needed.
+    fn rebase_by(&mut self, low: u64) {
+        if let Minors::Morphable128(minors) = &mut self.minors {
+            let low16 = narrow(low);
+            let (mut max, mut zeros) = (0, 0);
+            for m in minors.iter_mut() {
+                *m -= low16;
+                max = max.max(*m);
+                zeros += usize::from(*m == 0);
+            }
             // Rebase preserves encoded values, so the sum stays bounded.
-            self.major = self.major.saturating_add(min);
-            self.minors.iter_mut().for_each(|m| *m -= min);
+            self.major = self.major.saturating_add(low);
+            (self.max_minor, self.zeros) = (u64::from(max), zeros);
         }
+    }
+
+    /// Recomputes the kept summary from the minors.
+    fn resummarize(&mut self) {
+        self.max_minor = self.minors.iter().max().unwrap_or(0);
+        self.zeros = self.minors.iter().filter(|&m| m == 0).count();
     }
 }
 
-/// Whether replacing `minors[slot]` with `new_minor` yields a multiset that
-/// still fits one of Morphable's formats *after min-rebase*; if it does,
-/// the candidate minimum the rebase subtracts.
-///
-/// Computed analytically over the existing minors — the candidate is never
-/// materialized, so the hot write path performs no heap allocation. One
-/// branch-free min/max pass over the other minors finds the candidate's
-/// range; the rebase subtracts its minimum from every minor, so the widest
-/// post-rebase field is `max − min` and a minor is non-zero post-rebase iff
-/// it exceeds the candidate minimum. Those are counted only when the
-/// uniform format does not fit.
-fn morphable_write_fits(minors: &[u64], slot: usize, new_minor: u64) -> Option<u64> {
-    let (before, rest) = minors.split_at(slot.min(minors.len()));
-    let others = [before, rest.get(1..).unwrap_or_default()];
-    let (mut low, mut high) = (new_minor, new_minor);
-    for part in others {
-        for &m in part {
-            low = low.min(m);
-            high = high.max(m);
-        }
-    }
-    let rebased_max = high - low;
+/// The candidate minimum and non-zero count when a Morphable write of
+/// `new_minor` replaces the block's only zero minor, at `slot`: one scan
+/// over the other minors finds the minimum the rebase subtracts, a second
+/// counts the minors that stay non-zero after it.
+fn only_zero_candidate(minors: &[u16], slot: usize, new_minor: u64) -> (u64, usize) {
+    let others = || {
+        minors
+            .iter()
+            .enumerate()
+            .filter(move |&(i, _)| i != slot)
+            .map(|(_, &m)| u64::from(m))
+    };
+    let low = others().fold(new_minor, u64::min);
+    let nonzero = others().filter(|&m| m > low).count() + usize::from(new_minor > low);
+    (low, nonzero)
+}
+
+/// Whether `coverage` Morphable minors whose widest post-rebase value is
+/// `rebased_max`, `nonzero` of them non-zero, fit one of the formats: a
+/// uniform field per minor, or a zero bitmap plus a field per non-zero
+/// minor, all fields at most 9 bits wide.
+fn morphable_fits(coverage: usize, rebased_max: u64, nonzero: usize) -> bool {
     if rebased_max == 0 {
-        return Some(low);
+        return true;
     }
     let width = 64 - rebased_max.leading_zeros() as usize; // bits to hold max
     if width > 9 {
-        return None; // beyond the widest field in the ladder
+        return false; // beyond the widest field in the ladder
     }
-    // Uniform format: every minor gets `width` bits.
-    if minors.len() * width <= MORPHABLE_PAYLOAD_BITS {
-        return Some(low);
-    }
-    // Zero-compressed format: 1 presence bit per minor + `width` bits per
-    // non-zero (post-rebase) minor.
-    let nonzero = others
-        .iter()
-        .map(|part| part.iter().filter(|&&m| m > low).count())
-        .sum::<usize>()
-        + usize::from(new_minor > low);
-    (minors.len() + nonzero * width <= MORPHABLE_PAYLOAD_BITS).then_some(low)
+    // Uniform format: every minor gets `width` bits; else zero-compressed:
+    // 1 presence bit per minor + `width` bits per non-zero minor.
+    coverage * width <= MORPHABLE_PAYLOAD_BITS
+        || coverage + nonzero * width <= MORPHABLE_PAYLOAD_BITS
 }
 
 #[cfg(test)]
@@ -478,111 +599,18 @@ mod tests {
     }
 
     #[test]
-    fn analytic_write_fits_matches_materialized_reference() {
-        // The old implementation: clone the minors, apply the write, rebase,
-        // then check the formats. Returns the rebased `(major, minors)` when
-        // the candidate fits. The analytic version must agree exactly, and
-        // so must the state `try_write` leaves.
-        fn reference(
-            major: u64,
-            minors: &[u64],
-            slot: usize,
-            new_minor: u64,
-        ) -> Option<(u64, Vec<u64>)> {
-            let mut cand = minors.to_vec();
-            cand[slot] = new_minor;
-            let min = cand.iter().copied().min().unwrap_or(0);
-            cand.iter_mut().for_each(|m| *m -= min);
-            let rebased = Some((major + min, cand.clone()));
-            let max = cand.iter().copied().max().unwrap_or(0);
-            if max == 0 {
-                return rebased;
-            }
-            let width = 64 - max.leading_zeros() as usize;
-            if width > 9 {
-                return None;
-            }
-            if cand.len() * width <= MORPHABLE_PAYLOAD_BITS {
-                return rebased;
-            }
-            let nonzero = cand.iter().filter(|&&m| m != 0).count();
-            if cand.len() + nonzero * width <= MORPHABLE_PAYLOAD_BITS {
-                rebased
-            } else {
-                None
-            }
-        }
-        let mut z = 0x5eed_1234_u64;
-        let mut next = move || {
-            z = z
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            z >> 33
-        };
-        let mut fits = 0u32;
-        let mut landed = [0u32; 2]; // [refused, written] by `try_write`
-        for case in 0..2_000 {
-            // Mix sparse, dense, narrow, and wide minor sets.
-            let magnitude = [1u64, 7, 63, 511, 4095][case % 5];
-            let density = [1u64, 3, 8][case % 3];
-            let mut minors: Vec<u64> = (0..128)
-                .map(|_| {
-                    if next() % 8 < density {
-                        next() % (magnitude + 1)
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let slot = (next() % 128) as usize;
-            let new_minor = next() % (2 * magnitude + 2);
-            if case % 4 == 3 {
-                // The written slot holds the block's only zero minor, so a
-                // write that lands rebases by the new minimum.
-                minors.iter_mut().for_each(|m| *m += 1 + next() % 2);
-                minors[slot] = 0;
-            }
-            let major = 1_000 + case as u64;
-            let expected = reference(major, &minors, slot, new_minor);
-            let got = morphable_write_fits(&minors, slot, new_minor);
-            let ctx = format!("case {case}: slot {slot} new_minor {new_minor} minors {minors:?}");
-            assert_eq!(got.is_some(), expected.is_some(), "{ctx}");
-            fits += u32::from(got.is_some());
-            // The same write through the block: `can_write` predicts
-            // `try_write`, and a write that lands leaves exactly the
-            // reference's rebased state.
-            let mut cb = CounterBlock {
-                org: CounterOrg::Morphable128,
-                major,
-                minors: minors.clone(),
-            };
-            let target = major + new_minor;
-            if target <= cb.value(slot) {
-                assert!(!cb.can_write(slot, target), "{ctx}");
-                continue;
-            }
-            let predicted = cb.can_write(slot, target);
-            let written = cb.try_write(slot, target);
-            assert_eq!(predicted, written.is_ok(), "{ctx}");
-            landed[usize::from(written.is_ok())] += 1;
-            match expected {
-                Some((ref_major, ref_minors)) => {
-                    assert!(written.is_ok(), "{ctx}");
-                    assert_eq!((cb.major, &cb.minors), (ref_major, &ref_minors), "{ctx}");
-                }
-                None => {
-                    assert!(written.is_err(), "{ctx}");
-                    assert_eq!((cb.major, &cb.minors), (major, &minors), "{ctx}");
-                }
-            }
-        }
-        // The sweep must exercise both outcomes to mean anything.
-        assert!(fits > 100, "only {fits} accepted");
-        assert!(fits < 1_900, "only {} rejected", 2_000 - fits);
-        assert!(
-            landed.iter().all(|&n| n > 100),
-            "try_write outcomes {landed:?}"
-        );
+    fn blocks_are_inline_and_near_their_64_byte_image() {
+        // Minors live in the block itself (no heap), at most ~5 lines.
+        assert!(std::mem::size_of::<CounterBlock>() <= 320);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the format's field")]
+    fn with_state_rejects_a_minor_wider_than_the_field() {
+        // 600 above the block's minimum needs 10 bits.
+        let mut minors = vec![7; 128];
+        minors[5] = 607;
+        let _ = CounterBlock::with_state(CounterOrg::Morphable128, 0, minors);
     }
 
     #[test]
@@ -610,5 +638,379 @@ mod tests {
         // ...there is no such case via the public API since writes must
         // increase, and all values ≥ major after relevel. Verify invariant:
         assert!(cb.values().all(|v| v >= 200));
+    }
+}
+
+#[cfg(test)]
+mod vec_oracle_tests {
+    //! The block against a test-only copy of its earlier representation, a
+    //! heap `Vec<u64>` of minors that every fit check and `max_value`
+    //! rescanned: random `try_write`/`can_write`/`relevel`/`with_state` runs
+    //! on all three formats must leave the same major and minors and give
+    //! the same results and `max_value`, and after every step the kept
+    //! summary must equal a rescan.
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// The earlier block, kept as the oracle.
+    #[derive(Debug, Clone)]
+    struct VecBlock {
+        org: CounterOrg,
+        major: u64,
+        minors: Vec<u64>,
+    }
+
+    impl VecBlock {
+        fn with_state(org: CounterOrg, major: u64, minors: Vec<u64>) -> Self {
+            let mut b = VecBlock { org, major, minors };
+            if org == CounterOrg::Morphable128 {
+                b.rebase_by(b.minors.iter().copied().min().unwrap_or(0));
+            }
+            b
+        }
+
+        fn value(&self, slot: usize) -> u64 {
+            self.major + self.minors[slot]
+        }
+
+        fn max_value(&self) -> u64 {
+            self.major + self.minors.iter().copied().max().unwrap_or(0)
+        }
+
+        fn try_write(&mut self, slot: usize, target: u64) -> Result<(), WouldOverflow> {
+            assert!(target > self.value(slot) && target <= COUNTER_MAX);
+            let overflow = WouldOverflow {
+                min_relevel_target: self.max_value() + 1,
+            };
+            if target < self.major {
+                return Err(overflow);
+            }
+            let new_minor = target - self.major;
+            match self.org {
+                CounterOrg::Mono8 => {
+                    self.minors[slot] = new_minor;
+                    Ok(())
+                }
+                CounterOrg::Sc64 if new_minor <= SC64_MINOR_LIMIT => {
+                    self.minors[slot] = new_minor;
+                    Ok(())
+                }
+                CounterOrg::Sc64 => Err(overflow),
+                CounterOrg::Morphable128 => match write_fits(&self.minors, slot, new_minor) {
+                    Some(min) => {
+                        self.minors[slot] = new_minor;
+                        self.rebase_by(min);
+                        Ok(())
+                    }
+                    None => Err(overflow),
+                },
+            }
+        }
+
+        fn can_write(&self, slot: usize, target: u64) -> bool {
+            if target <= self.value(slot) || target > COUNTER_MAX || target < self.major {
+                return false;
+            }
+            let new_minor = target - self.major;
+            match self.org {
+                CounterOrg::Mono8 => true,
+                CounterOrg::Sc64 => new_minor <= SC64_MINOR_LIMIT,
+                CounterOrg::Morphable128 => write_fits(&self.minors, slot, new_minor).is_some(),
+            }
+        }
+
+        fn relevel(&mut self, target: u64) {
+            assert!(target > self.max_value() && target <= COUNTER_MAX);
+            self.major = target;
+            self.minors.iter_mut().for_each(|m| *m = 0);
+        }
+
+        fn rebase_by(&mut self, min: u64) {
+            self.major += min;
+            self.minors.iter_mut().for_each(|m| *m -= min);
+        }
+    }
+
+    /// The earlier fit check: the candidate's range and non-zero count
+    /// from scans over every other minor.
+    fn write_fits(minors: &[u64], slot: usize, new_minor: u64) -> Option<u64> {
+        let others = || {
+            minors
+                .iter()
+                .enumerate()
+                .filter(move |&(i, _)| i != slot)
+                .map(|(_, &m)| m)
+        };
+        let low = others().fold(new_minor, u64::min);
+        let high = others().fold(new_minor, u64::max);
+        let rebased_max = high - low;
+        if rebased_max == 0 {
+            return Some(low);
+        }
+        let width = 64 - rebased_max.leading_zeros() as usize;
+        if width > 9 {
+            return None;
+        }
+        if minors.len() * width <= MORPHABLE_PAYLOAD_BITS {
+            return Some(low);
+        }
+        let nonzero = others().filter(|&m| m > low).count() + usize::from(new_minor > low);
+        (minors.len() + nonzero * width <= MORPHABLE_PAYLOAD_BITS).then_some(low)
+    }
+
+    /// A target relative to the block at the time the step runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Target {
+        /// The slot's value plus this step (0: a reuse, refused).
+        Step(u64),
+        /// The block's largest value plus this step.
+        AboveMax(u64),
+        CounterMax,
+        PastCounterMax,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `try_write` where the target is legal, `can_write` otherwise.
+        /// `zero` picks the slot among those holding a zero minor, so a
+        /// block with one zero has it written.
+        Write {
+            zero: bool,
+            slot: u64,
+            target: Target,
+        },
+        /// `can_write` alone.
+        Probe {
+            zero: bool,
+            slot: u64,
+            target: Target,
+        },
+        Relevel(Target),
+        /// Replace both blocks with `with_state` of a fresh state.
+        WithState(u64, Vec<u64>),
+    }
+
+    /// What a run exercised, summed across cases to prove the sweep means
+    /// something.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        writes: [u64; 2],
+        only_zero_writes: [u64; 2],
+        counter_max_writes: u64,
+        relevels: u64,
+    }
+
+    fn pick<T: Copy>(rng: &mut TestRng, options: &[T]) -> T {
+        options[rng.below(options.len() as u64) as usize]
+    }
+
+    /// A random `with_state` input: narrow or wide spreads, sparse or dense,
+    /// some with exactly one zero minor, some ending at `COUNTER_MAX`.
+    fn state(rng: &mut TestRng, org: CounterOrg) -> (u64, Vec<u64>) {
+        let spread = match org {
+            CounterOrg::Mono8 => pick(rng, &[0, 7, 511, 1 << 20]),
+            CounterOrg::Sc64 => pick(rng, &[0, 3, 7, 63, 127]),
+            CounterOrg::Morphable128 => pick(rng, &[0, 1, 3, 7, 15, 63, 511]),
+        };
+        // Morphable folds any common base into the major.
+        let base = match org {
+            CounterOrg::Morphable128 => pick(rng, &[0, 1, 700]),
+            _ => 0,
+        };
+        let density = pick(rng, &[1, 4, 8]);
+        let mut minors: Vec<u64> = (0..org.coverage())
+            .map(|_| {
+                let m = if rng.below(8) < density {
+                    let any = rng.below(spread + 1);
+                    pick(rng, &[1, spread, any])
+                } else {
+                    0
+                };
+                base + m.min(spread)
+            })
+            .collect();
+        if spread > 0 && rng.below(3) == 0 {
+            // One zero minor only: writing it moves the candidate minimum.
+            minors.iter_mut().for_each(|m| *m = (*m).max(base + 1));
+            let slot = rng.below(minors.len() as u64) as usize;
+            minors[slot] = base;
+        }
+        let major = if rng.below(4) == 0 {
+            COUNTER_MAX - base - spread - rng.below(4)
+        } else {
+            rng.below(2_000)
+        };
+        (major, minors)
+    }
+
+    fn target(rng: &mut TestRng) -> Target {
+        match rng.below(10) {
+            0 => Target::Step(0),
+            1..=3 => Target::Step(1),
+            4 => Target::Step(1 + rng.below(8)),
+            5 => Target::Step(1 + rng.below(600)),
+            6 => Target::AboveMax(pick(rng, &[0, 1, 2, 300])),
+            7 => Target::CounterMax,
+            8 => Target::PastCounterMax,
+            _ => Target::Step(1 + rng.below(130)),
+        }
+    }
+
+    /// An org, its starting state, and up to 100 steps.
+    struct Runs;
+
+    impl Strategy for Runs {
+        type Value = (CounterOrg, u64, Vec<u64>, Vec<Op>);
+
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            use CounterOrg::{Mono8, Morphable128, Sc64};
+            let org = pick(rng, &[Mono8, Sc64, Morphable128, Morphable128]);
+            let (major, minors) = state(rng, org);
+            let ops = (0..1 + rng.below(100))
+                .map(|_| {
+                    let zero = rng.below(3) == 0;
+                    let slot = rng.below(org.coverage() as u64);
+                    match rng.below(40) {
+                        0 => {
+                            let (major, minors) = state(rng, org);
+                            Op::WithState(major, minors)
+                        }
+                        1 | 2 => Op::Relevel(target(rng)),
+                        3..=12 => Op::Probe {
+                            zero,
+                            slot,
+                            target: target(rng),
+                        },
+                        _ => Op::Write {
+                            zero,
+                            slot,
+                            target: target(rng),
+                        },
+                    }
+                })
+                .collect();
+            (org, major, minors, ops)
+        }
+    }
+
+    fn resolve(target: Target, current: u64, max: u64) -> u64 {
+        match target {
+            Target::Step(step) => current.saturating_add(step),
+            Target::AboveMax(step) => max.saturating_add(step),
+            Target::CounterMax => COUNTER_MAX,
+            Target::PastCounterMax => COUNTER_MAX + 1,
+        }
+    }
+
+    /// The block and the oracle hold the same state, and the kept summary
+    /// is what a rescan finds.
+    fn assert_agree(cb: &CounterBlock, oracle: &VecBlock, ctx: &dyn std::fmt::Debug) {
+        let minors: Vec<u64> = cb.minors.iter().collect();
+        assert_eq!(cb.org(), oracle.org, "{ctx:?}");
+        assert_eq!(
+            (cb.major, &minors),
+            (oracle.major, &oracle.minors),
+            "{ctx:?}"
+        );
+        assert_eq!(cb.max_value(), oracle.max_value(), "{ctx:?}");
+        let values: Vec<u64> = cb.values().collect();
+        let expected: Vec<u64> = (0..oracle.minors.len()).map(|s| oracle.value(s)).collect();
+        assert_eq!(values, expected, "{ctx:?}");
+        let max_minor = minors.iter().copied().max().unwrap_or(0);
+        let zeros = minors.iter().filter(|&&m| m == 0).count();
+        assert_eq!(
+            (cb.max_minor, cb.zeros),
+            (max_minor, zeros),
+            "summary {ctx:?}"
+        );
+        if cb.org() == CounterOrg::Morphable128 {
+            assert!(zeros > 0, "Morphable keeps a zero minor {ctx:?}");
+        }
+    }
+
+    /// Runs one case on both representations, asserting agreement after
+    /// every step.
+    fn run(case: &<Runs as Strategy>::Value, cov: &mut Coverage) {
+        let (org, major, minors, ops) = case;
+        let mut cb = CounterBlock::with_state(*org, *major, minors.clone());
+        let mut oracle = VecBlock::with_state(*org, *major, minors.clone());
+        assert_agree(&cb, &oracle, &"with_state");
+        for (step, op) in ops.iter().enumerate() {
+            let ctx = (step, op);
+            let slot_for = |zero: bool, slot: u64| {
+                let zeros: Vec<usize> = (0..oracle.minors.len())
+                    .filter(|&s| oracle.minors[s] == 0)
+                    .collect();
+                if zero && !zeros.is_empty() {
+                    zeros[slot as usize % zeros.len()]
+                } else {
+                    slot as usize
+                }
+            };
+            match *op {
+                Op::Write { zero, slot, target } | Op::Probe { zero, slot, target } => {
+                    let slot = slot_for(zero, slot);
+                    let current = oracle.value(slot);
+                    let t = resolve(target, current, oracle.max_value());
+                    let predicted = cb.can_write(slot, t);
+                    assert_eq!(predicted, oracle.can_write(slot, t), "can_write {ctx:?}");
+                    let legal = t > current && t <= COUNTER_MAX;
+                    if matches!(op, Op::Write { .. }) && legal {
+                        let only_zero = oracle.minors[slot] == 0
+                            && oracle.minors.iter().filter(|&&m| m == 0).count() == 1;
+                        let got = cb.try_write(slot, t);
+                        assert_eq!(got, oracle.try_write(slot, t), "try_write {ctx:?}");
+                        assert_eq!(predicted, got.is_ok(), "{ctx:?}");
+                        cov.writes[usize::from(got.is_ok())] += 1;
+                        if only_zero && org == &CounterOrg::Morphable128 {
+                            cov.only_zero_writes[usize::from(got.is_ok())] += 1;
+                        }
+                        cov.counter_max_writes += u64::from(got.is_ok() && t == COUNTER_MAX);
+                    }
+                }
+                Op::Relevel(target) => {
+                    let max = oracle.max_value();
+                    let t = resolve(target, max, max);
+                    if t > max && t <= COUNTER_MAX {
+                        cb.relevel(t);
+                        oracle.relevel(t);
+                        cov.relevels += 1;
+                    }
+                }
+                Op::WithState(major, ref minors) => {
+                    cb = CounterBlock::with_state(*org, major, minors.clone());
+                    oracle = VecBlock::with_state(*org, major, minors.clone());
+                }
+            }
+            assert_agree(&cb, &oracle, &ctx);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3_000))]
+
+        #[test]
+        fn kept_summary_matches_the_vec_oracle(case in Runs) {
+            run(&case, &mut Coverage::default());
+        }
+    }
+
+    #[test]
+    fn oracle_runs_reach_every_branch() {
+        let mut rng = TestRng::deterministic_for("oracle_runs_reach_every_branch");
+        let mut cov = Coverage::default();
+        for _ in 0..1_000 {
+            run(&Runs.sample(&mut rng), &mut cov);
+        }
+        let floors = [
+            cov.writes[0],
+            cov.writes[1],
+            cov.only_zero_writes[0],
+            cov.only_zero_writes[1],
+            cov.counter_max_writes,
+            cov.relevels,
+        ];
+        assert!(floors.iter().all(|&n| n >= 50), "{cov:?}");
     }
 }

@@ -325,16 +325,10 @@ impl MetadataState {
         self.levels.get(level).map_or(0, PagedArena::len)
     }
 
-    /// Bytes this state owns on the heap: every level's arena plus the
-    /// minor-counter vectors of the materialized blocks.
+    /// Bytes this state owns on the heap: every level's arena, whose
+    /// pages hold the materialized blocks inline.
     pub(crate) fn footprint_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|arena| {
-                arena.footprint_bytes()
-                    + arena.values().map(CounterBlock::heap_bytes).sum::<usize>()
-            })
-            .sum()
+        self.levels.iter().map(PagedArena::footprint_bytes).sum()
     }
 
     /// Order-sensitive digest of every materialized counter block (all

@@ -79,11 +79,6 @@ pub struct LifetimeRunner {
     accesses: u64,
     llc_misses: u64,
     llc_writebacks: u64,
-    /// Statistics reset once this many accesses have streamed (0 = none):
-    /// the §V warm-up window, after which caches/counters/tables keep their
-    /// state but the measured counters restart.
-    warmup_accesses: u64,
-    warmup_done: bool,
 }
 
 impl std::fmt::Debug for LifetimeRunner {
@@ -109,18 +104,7 @@ impl LifetimeRunner {
             accesses: 0,
             llc_misses: 0,
             llc_writebacks: 0,
-            warmup_accesses: 0,
-            warmup_done: false,
         }
-    }
-
-    /// Configures a warm-up window (§V: the paper warms the tree, caches,
-    /// and predictors before its 20 ms observation window): after
-    /// `accesses` trace events, all statistics reset while architectural
-    /// state (caches, counters, memoization tables) is preserved.
-    pub fn with_warmup(mut self, accesses: u64) -> Self {
-        self.warmup_accesses = accesses;
-        self
     }
 
     /// The underlying metadata engine (for seeding or inspection).
@@ -178,14 +162,6 @@ impl LifetimeRunner {
 impl TraceSink for LifetimeRunner {
     fn emit(&mut self, ev: TraceEvent) {
         self.accesses += 1;
-        if !self.warmup_done && self.warmup_accesses > 0 && self.accesses >= self.warmup_accesses {
-            self.warmup_done = true;
-            self.accesses = 0;
-            self.llc_misses = 0;
-            self.llc_writebacks = 0;
-            self.hierarchy.reset_stats();
-            self.engine.reset_stats();
-        }
         self.tlb_4k.access(ev.addr);
         self.tlb_2m.access(ev.addr);
         let paddr = self.page_map.translate(ev.addr);
@@ -289,35 +265,5 @@ mod tests {
         let b = run_lifetime(Workload::Omnetpp, Scale::Tiny, None, &cfg(Scheme::Rmcc))
             .expect("self-built graph");
         assert_eq!(a, b);
-    }
-}
-
-#[cfg(test)]
-mod warmup_tests {
-    use super::*;
-    use rmcc_workloads::workload::{Scale, Workload};
-
-    #[test]
-    fn warmup_resets_stats_but_keeps_state() {
-        let mut cfg = SystemConfig::lifetime(Scheme::Rmcc);
-        cfg.data_bytes = 1 << 32;
-        // Run the same tiny workload with and without warm-up.
-        let mut cold = LifetimeRunner::new(&cfg);
-        Workload::Canneal
-            .run(Scale::Tiny, &mut cold)
-            .expect("no graph needed");
-        let cold_report = cold.report();
-
-        let mut warmed = LifetimeRunner::new(&cfg).with_warmup(10_000);
-        Workload::Canneal
-            .run(Scale::Tiny, &mut warmed)
-            .expect("no graph needed");
-        let warm_report = warmed.report();
-
-        // The observation window saw fewer accesses…
-        assert!(warm_report.accesses < cold_report.accesses);
-        assert_eq!(warm_report.accesses, cold_report.accesses - 10_000);
-        // …and fewer compulsory misses, because the caches stayed warm.
-        assert!(warm_report.llc_misses < cold_report.llc_misses);
     }
 }

@@ -135,16 +135,6 @@ impl MemoTally {
         }
     }
 
-    /// Hit rate over lookups that followed a counter-cache miss (Fig. 10).
-    pub fn miss_hit_rate(&self) -> f64 {
-        let n = self.miss_group_hits + self.miss_mru_hits + self.miss_misses;
-        if n == 0 {
-            0.0
-        } else {
-            (self.miss_group_hits + self.miss_mru_hits) as f64 / n as f64
-        }
-    }
-
     /// Hit rate over all lookups (Fig. 19's definition).
     pub fn all_hit_rate(&self) -> f64 {
         let n = self.all_group_hits + self.all_mru_hits + self.all_misses;
@@ -399,15 +389,6 @@ impl MetaEngine {
     /// Functional statistics so far.
     pub fn stats(&self) -> &MetaStats {
         &self.stats
-    }
-
-    /// Clears measured statistics while preserving all architectural state
-    /// (counter cache, counter values, memoization tables) — end-of-warm-up
-    /// semantics, as in the paper's §V methodology.
-    pub fn reset_stats(&mut self) {
-        self.stats = MetaStats::default();
-        self.counter_cache.reset_stats();
-        self.crypto = CryptoStats::default();
     }
 
     /// The RMCC engine, when the scheme uses it.

