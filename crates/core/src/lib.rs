@@ -55,7 +55,7 @@ pub mod table;
 pub use area::AreaModel;
 pub use budget::{TrafficBudget, EPOCH_ACCESSES};
 pub use candidates::{HighValueMonitor, COVERAGE_REQUIREMENT, HIGH_READ_TRIGGER};
-pub use rmcc::{Rmcc, RmccConfig, UpdateOutcome, DEFAULT_LEVELS};
+pub use rmcc::{NoUpdate, Rmcc, RmccConfig, UpdateOutcome, DEFAULT_LEVELS};
 pub use shard::{
     aggregate_stats, memo_policy, MemoHandle, MemoPolicy, ShardMemoConfig, ShardMemoStats,
 };

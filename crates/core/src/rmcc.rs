@@ -13,8 +13,7 @@
 //! * every memory access ticks [`Rmcc::on_memory_access`], which rolls
 //!   epochs: table reselection, monitor reset, budget replenishment.
 
-use rmcc_crypto::otp::COUNTER_MAX;
-use rmcc_secmem::counters::CounterBlock;
+use rmcc_secmem::counters::{CounterBlock, Saturated};
 
 use crate::budget::TrafficBudget;
 use crate::candidates::HighValueMonitor;
@@ -78,7 +77,7 @@ impl RmccConfig {
 }
 
 /// What a counter update did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateOutcome {
     /// The counter's value after the update.
     pub new_value: u64,
@@ -90,6 +89,21 @@ pub struct UpdateOutcome {
     pub charged_requests: u64,
     /// Whether the new value is currently memoized in a live group.
     pub landed_on_memoized: bool,
+}
+
+/// Why [`Rmcc::update_counter`] left the counter unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoUpdate {
+    /// A read-triggered update not taken (a writeback never is).
+    Declined,
+    /// The counter would pass the 56-bit counter space.
+    Saturated,
+}
+
+impl From<Saturated> for NoUpdate {
+    fn from(_: Saturated) -> Self {
+        NoUpdate::Saturated
+    }
 }
 
 /// Per-level state: table + high-value monitor.
@@ -307,25 +321,25 @@ impl Rmcc {
     ///    (`2 × coverage` requests), relevel onto the table. Only now is the
     ///    baseline `+1` checked (`can_write`): the relevel is charged only
     ///    if `+1` would have fit, since otherwise it was forced anyway.
-    /// 3. Else take `+1` if it fits, or relevel for free to the nearest
-    ///    memoized value at or above the forced target.
-    ///
-    /// Every fit check refuses what [`CounterBlock::can_write`] refuses: a
-    /// target above [`COUNTER_MAX`] or below the block's major.
+    /// 3. Else advance by `+1` ([`CounterBlock::advance`]): a forced relevel
+    ///    lands for free on the nearest memoized value at or above it.
     ///
     /// `read_triggered` marks updates for read requests whose counters
     /// missed the table (§IV-C1): step 1 only, paying 2 requests
-    /// (re-encrypt + writeback) from the budget. It returns `None` when
-    /// declined, which a writeback never is.
+    /// (re-encrypt + writeback) from the budget.
+    ///
+    /// # Errors
+    ///
+    /// [`NoUpdate`], with the block, budgets and DoS guard unchanged.
     pub fn update_counter(
         &mut self,
         level: usize,
         cb: &mut CounterBlock,
         slot: usize,
         read_triggered: bool,
-    ) -> Option<UpdateOutcome> {
+    ) -> Result<UpdateOutcome, NoUpdate> {
         if read_triggered && !self.cfg.read_triggered {
-            return None;
+            return Err(NoUpdate::Declined);
         }
         let current = cb.value(slot);
         // The DoS guard reverts to the baseline policy for the rest of the
@@ -343,64 +357,57 @@ impl Rmcc {
             // The budget is checked before the write and spent after it,
             // so a refused write spends nothing.
             let read_cost = if read_triggered { 2 } else { 0 };
-            let budget = self.budgets.get_mut(level)?;
+            let budget = self.budgets.get_mut(level).ok_or(NoUpdate::Declined)?;
             if budget.can_afford(read_cost)
-                && write_fits(cb, slot, target)
+                && cb.try_write(slot, target).is_ok()
                 && budget.try_consume(read_cost)
             {
-                return Some(UpdateOutcome {
+                return Ok(UpdateOutcome {
                     new_value: target,
-                    releveled: false,
                     charged_requests: read_cost,
                     landed_on_memoized: true,
+                    ..UpdateOutcome::default()
                 });
             }
             let cost = 2 * cb.org().coverage() as u64;
             if !read_triggered && budget.can_afford(cost) {
+                let charged = cost * u64::from(cb.can_write(slot, current + 1));
+                cb.relevel(relevel_target(&self.levels, level, cb.max_value() + 1))?;
                 // Covered, so the spend cannot fail.
-                let charged = if cb.can_write(slot, current + 1) && budget.try_consume(cost) {
-                    cost
-                } else {
-                    0
-                };
-                return Some(self.relevel(level, cb, charged));
+                budget.try_consume(charged);
+                return Ok(self.releveled(level, cb.value(slot), charged));
             }
         }
         if read_triggered {
             // Nothing to conform to without a relevel: no point paying.
-            return None;
+            return Err(NoUpdate::Declined);
         }
 
         // Baseline policy; a forced relevel still lands on the table.
         let baseline = current + 1;
-        if write_fits(cb, slot, baseline) {
-            Some(UpdateOutcome {
-                new_value: baseline,
-                releveled: false,
-                charged_requests: 0,
-                landed_on_memoized: self.is_memoized(level, baseline),
-            })
-        } else {
-            Some(self.relevel(level, cb, 0))
+        if cb
+            .advance(slot, baseline, |min| {
+                relevel_target(&self.levels, level, min)
+            })?
+            .is_some()
+        {
+            return Ok(self.releveled(level, cb.value(slot), 0));
         }
+        Ok(UpdateOutcome {
+            new_value: baseline,
+            landed_on_memoized: self.is_memoized(level, baseline),
+            ..UpdateOutcome::default()
+        })
     }
 
-    /// Relevels `cb` to the nearest memoized value at or above its forced
-    /// target (`max + 1`), or to the forced target itself.
-    fn relevel(&mut self, level: usize, cb: &mut CounterBlock, charged: u64) -> UpdateOutcome {
-        let min_target = cb.max_value() + 1;
-        let relevel_to = self
-            .levels
-            .get(level)
-            .and_then(|lvl| lvl.table.relevel_target(min_target))
-            .unwrap_or(min_target);
-        cb.relevel(relevel_to);
+    /// Counts a relevel of a block to `to` toward the DoS guard.
+    fn releveled(&mut self, level: usize, to: u64, charged: u64) -> UpdateOutcome {
         self.note_relevel();
         UpdateOutcome {
-            new_value: relevel_to,
+            new_value: to,
             releveled: true,
             charged_requests: charged,
-            landed_on_memoized: self.is_memoized(level, relevel_to),
+            landed_on_memoized: self.is_memoized(level, to),
         }
     }
 
@@ -411,12 +418,13 @@ impl Rmcc {
     }
 }
 
-/// Raises `slot` to `target` if the block can encode it, in one fit check
-/// that also commits. A target above [`COUNTER_MAX`] is refused, as
-/// [`CounterBlock::can_write`] refuses it, instead of reaching the write's
-/// assertion.
-fn write_fits(cb: &mut CounterBlock, slot: usize, target: u64) -> bool {
-    target <= COUNTER_MAX && cb.try_write(slot, target).is_ok()
+/// Where a relevel at `level` that must reach `min_target` lands: the
+/// nearest memoized value at or above it, or `min_target` itself.
+fn relevel_target(levels: &[LevelState], level: usize, min_target: u64) -> u64 {
+    levels
+        .get(level)
+        .and_then(|lvl| lvl.table.relevel_target(min_target))
+        .unwrap_or(min_target)
 }
 
 #[cfg(test)]
@@ -519,7 +527,10 @@ mod tests {
         while r.budgets[0].try_consume(100) {}
         while r.budgets[0].try_consume(1) {}
         let mut cb2 = CounterBlock::new(CounterOrg::Morphable128);
-        assert!(r.update_counter(0, &mut cb2, 0, true).is_none());
+        assert_eq!(
+            r.update_counter(0, &mut cb2, 0, true),
+            Err(NoUpdate::Declined)
+        );
         assert_eq!(cb2.value(0), 0, "declined update leaves the counter alone");
     }
 
@@ -528,7 +539,10 @@ mod tests {
         let mut r = Rmcc::new(RmccConfig::paper());
         r.seed_group(0, 1_000);
         let mut cb = CounterBlock::new(CounterOrg::Sc64); // jump would relevel
-        assert!(r.update_counter(0, &mut cb, 0, true).is_none());
+        assert_eq!(
+            r.update_counter(0, &mut cb, 0, true),
+            Err(NoUpdate::Declined)
+        );
     }
 
     #[test]
@@ -651,10 +665,13 @@ mod update_differential_tests {
     //! `update_counter` (decide, then commit once) against a transcription
     //! of the procedure it replaced, which proved every fit with
     //! `can_write` before writing: same outcome, block, budget spend and
-    //! DoS-guard state on random blocks, ladders and budgets.
+    //! DoS-guard state on random blocks, ladders and budgets. Where the
+    //! transcription panics (a relevel past `COUNTER_MAX`), the update
+    //! must refuse with `NoUpdate::Saturated` and change nothing.
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
+    use rmcc_crypto::otp::COUNTER_MAX;
     use rmcc_secmem::counters::CounterOrg::{Mono8, Morphable128, Sc64};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -709,7 +726,7 @@ mod update_differential_tests {
                 Some(t) if t >= min_target => t,
                 _ => min_target,
             };
-            cb.relevel(relevel_to);
+            cb.relevel(relevel_to).expect("relevel past COUNTER_MAX");
             r.note_relevel();
             outcome(relevel_to, true, charged, r.is_memoized(level, relevel_to))
         };
@@ -801,33 +818,49 @@ mod update_differential_tests {
         }
     }
 
+    /// Runs one case through both procedures, asserting agreement after
+    /// every update; returns how many updates the reference panicked on.
+    fn run(case: &<Cases as Strategy>::Value) -> u64 {
+        let (mut r_ref, mut cb_ref, updates) = case.clone();
+        let (mut r_new, mut cb_new) = (r_ref.clone(), cb_ref.clone());
+        for &(level, slot, read_triggered) in &updates {
+            let ctx = (level, slot, read_triggered);
+            let before = (r_new.clone(), cb_new.clone());
+            let new = r_new.update_counter(level, &mut cb_new, slot, read_triggered);
+            let reference = catch_unwind(AssertUnwindSafe(|| {
+                reference_update(&mut r_ref, level, &mut cb_ref, slot, read_triggered)
+            }));
+            let Ok(reference) = reference else {
+                // The reference's state is torn; the new side's is intact.
+                assert_eq!(new, Err(NoUpdate::Saturated), "{ctx:?}");
+                assert_eq!(cb_new, before.1, "{ctx:?}");
+                assert_eq!(r_new.budgets, before.0.budgets, "{ctx:?}");
+                assert_eq!(r_new.epoch_relevels, before.0.epoch_relevels);
+                assert_eq!(r_new.dos_paused, before.0.dos_paused);
+                return 1;
+            };
+            assert_eq!(new.ok(), reference, "outcome: {ctx:?}");
+            assert_eq!(cb_new, cb_ref);
+            assert_eq!(r_new.budgets, r_ref.budgets);
+            assert_eq!(r_new.dos_paused, r_ref.dos_paused);
+            assert_eq!(r_new.epoch_relevels, r_ref.epoch_relevels);
+        }
+        0
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4_000))]
 
         #[test]
         fn update_counter_matches_the_check_then_write_procedure(case in Cases) {
-            let (mut r_ref, mut cb_ref, updates) = case;
-            let (mut r_new, mut cb_new) = (r_ref.clone(), cb_ref.clone());
-            for &(level, slot, read_triggered) in &updates {
-                // A panic (a relevel past `COUNTER_MAX`) must happen in both
-                // or in neither.
-                let new = catch_unwind(AssertUnwindSafe(|| {
-                    r_new.update_counter(level, &mut cb_new, slot, read_triggered)
-                }))
-                .map_err(|_| ());
-                let reference = catch_unwind(AssertUnwindSafe(|| {
-                    reference_update(&mut r_ref, level, &mut cb_ref, slot, read_triggered)
-                }))
-                .map_err(|_| ());
-                prop_assert_eq!(new, reference, "outcome: {:?}", (level, slot, read_triggered));
-                if new.is_err() {
-                    break;
-                }
-                prop_assert_eq!(&cb_new, &cb_ref);
-                prop_assert_eq!(&r_new.budgets, &r_ref.budgets);
-                prop_assert_eq!(r_new.dos_paused, r_ref.dos_paused);
-                prop_assert_eq!(r_new.epoch_relevels, r_ref.epoch_relevels);
-            }
+            run(&case);
         }
+    }
+
+    #[test]
+    fn saturating_cases_are_exercised() {
+        let mut rng = TestRng::deterministic_for("saturating_cases_are_exercised");
+        let saturated: u64 = (0..1_000).map(|_| run(&Cases.sample(&mut rng))).sum();
+        assert!(saturated >= 20, "only {saturated} saturating cases");
     }
 }

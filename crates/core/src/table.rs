@@ -383,8 +383,10 @@ impl MemoizationTable {
 
     /// Inserts a new group starting at `start`, evicting the least
     /// frequently used live group if the table is full (§IV-C3). The victim
-    /// joins the shadow ring with its use counter intact.
+    /// joins the shadow ring with its use counter intact. A group that
+    /// would pass `COUNTER_MAX` is moved down to end there.
     pub fn insert_group(&mut self, start: u64) {
+        let start = self.clamp(start);
         // Re-inserting an existing group is a no-op.
         if self.groups.iter().any(|g| g.start == start) {
             return;
@@ -412,6 +414,11 @@ impl MemoizationTable {
         self.refresh_max_in_table();
     }
 
+    /// `start`, lowered so its group ends at or below `COUNTER_MAX`.
+    fn clamp(&self, start: u64) -> u64 {
+        start.min(rmcc_crypto::otp::COUNTER_MAX - (self.cfg.group_size - 1))
+    }
+
     /// Seeds the table with groups at the given starts (initialization).
     pub fn seed_groups(&mut self, starts: impl IntoIterator<Item = u64>) {
         for s in starts {
@@ -432,7 +439,9 @@ impl MemoizationTable {
     /// groups out of live + evicted, optionally admitting `new_group` (the
     /// candidate monitor's 98th-percentile pick) as one of the live set.
     /// All use counters are halved afterwards so the table stays adaptive.
+    /// `new_group` is clamped as `insert_group` clamps it.
     pub fn epoch_reselect(&mut self, new_group: Option<u64>) {
+        let new_group = new_group.map(|start| self.clamp(start));
         // Track each group's origin so the stats distinguish shadow-ring
         // rehabilitations (promotions) from live-set demotions (evictions).
         let mut pool: Vec<(Group, bool)> = self.groups.drain(..).map(|g| (g, false)).collect();
@@ -610,6 +619,25 @@ mod tests {
         assert_eq!(t.max_counter_in_table(), Some(107));
         t.insert_group(5000);
         assert_eq!(t.max_counter_in_table(), Some(5007));
+    }
+
+    #[test]
+    fn groups_past_counter_max_are_clamped() {
+        use rmcc_crypto::otp::COUNTER_MAX;
+        let mut t = table();
+        // A seed at COUNTER_MAX − 3 would reach COUNTER_MAX + 4.
+        t.seed_groups([COUNTER_MAX - 3]);
+        assert_eq!(t.groups()[0].start, COUNTER_MAX - 7);
+        assert_eq!(t.max_counter_in_table(), Some(COUNTER_MAX));
+        assert_eq!(t.relevel_target(COUNTER_MAX - 1), Some(COUNTER_MAX - 1));
+        assert_eq!(t.relevel_target(COUNTER_MAX + 1), None);
+        // Re-inserting the same seed is the no-op it always was.
+        t.insert_group(COUNTER_MAX - 3);
+        assert_eq!(t.stats().insertions, 1);
+        // A reselection candidate is clamped the same way.
+        t.epoch_reselect(Some(COUNTER_MAX));
+        assert_eq!(t.groups().len(), 1, "the clamped candidate is live");
+        assert_eq!(t.max_counter_in_table(), Some(COUNTER_MAX));
     }
 
     proptest::proptest! {

@@ -15,9 +15,9 @@
 //!   and min-rebase, which is what lets it cover two 4 KB pages with few
 //!   overflows. Coverage 128.
 //!
-//! The *mechanism* here is policy-free: [`CounterBlock::try_write`] reports
-//! [`WouldOverflow`] and the caller (the baseline MC or RMCC's
-//! memoization-aware update) chooses the relevel target.
+//! The *mechanism* here is policy-free: [`CounterBlock::advance`] writes,
+//! else relevels to a target the caller (the baseline MC or RMCC's
+//! memoization-aware update) chooses, and never passes [`COUNTER_MAX`].
 
 use rmcc_crypto::otp::COUNTER_MAX;
 
@@ -71,26 +71,20 @@ impl std::fmt::Display for CounterOrg {
     }
 }
 
-/// Error: the requested counter value cannot be encoded without releveling
-/// the whole counter block.
+/// Why [`CounterBlock::try_write`] left the block unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WouldOverflow {
-    /// The smallest shared target that releveling must reach so every
-    /// covered block still moves forward (`max encoded value + 1`).
-    pub min_relevel_target: u64,
+pub enum Refusal {
+    /// The format cannot encode the value: the block must relevel, to at
+    /// least `max_value() + 1` so every covered block moves forward.
+    Overflow,
+    /// The value lies past [`COUNTER_MAX`].
+    Saturated,
 }
 
-impl std::fmt::Display for WouldOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "counter update requires releveling to ≥ {}",
-            self.min_relevel_target
-        )
-    }
-}
-
-impl std::error::Error for WouldOverflow {}
+/// Refusal: a counter would pass [`COUNTER_MAX`], the end of the 56-bit
+/// counter space, where only key renewal helps (§IV-D2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Saturated;
 
 /// Payload bits available to Morphable minors (512 − 64 major − 8 format
 /// metadata).
@@ -302,22 +296,24 @@ impl CounterBlock {
     ///
     /// # Errors
     ///
-    /// Returns [`WouldOverflow`] when the value cannot be encoded in the
-    /// block's format; the caller must [`CounterBlock::relevel`] (and
-    /// re-encrypt every covered block).
+    /// Leaves the block unchanged and returns [`Refusal::Overflow`] when
+    /// the value cannot be encoded in the block's format (the caller must
+    /// relevel, see [`CounterBlock::advance`]), or [`Refusal::Saturated`]
+    /// when it lies past [`COUNTER_MAX`].
     ///
     /// # Panics
     ///
     /// Panics if `target` does not strictly increase the slot's value (the
-    /// security invariant: a (block, counter) pair is never reused) or if it
-    /// exceeds the 56-bit counter space.
-    pub fn try_write(&mut self, slot: usize, target: u64) -> Result<(), WouldOverflow> {
+    /// security invariant: a (block, counter) pair is never reused).
+    pub fn try_write(&mut self, slot: usize, target: u64) -> Result<(), Refusal> {
         let current = self.value(slot);
         assert!(
             target > current,
             "counter must strictly increase (slot {slot}: {current} -> {target})"
         );
-        assert!(target <= COUNTER_MAX, "counter value exceeds 56 bits");
+        if target > COUNTER_MAX {
+            return Err(Refusal::Saturated);
+        }
         // Every value is at least the major, so neither subtraction wraps.
         let (old_minor, new_minor) = (current - self.major, target - self.major);
         match self.fit(slot, old_minor, new_minor) {
@@ -325,10 +321,36 @@ impl CounterBlock {
                 self.commit(slot, old_minor, new_minor, low);
                 Ok(())
             }
-            None => Err(WouldOverflow {
-                min_relevel_target: self.max_value() + 1,
-            }),
+            None => Err(Refusal::Overflow),
         }
+    }
+
+    /// The one counter-advance rule: raises `slot` to `target` if the
+    /// format encodes it, else relevels the block to the caller's choice
+    /// `relevel_to(max_value() + 1)` (at least its argument) and returns the
+    /// old block, from whose values the caller re-encrypts what it covers.
+    ///
+    /// # Errors
+    ///
+    /// [`Saturated`], block unchanged, when a value passes [`COUNTER_MAX`].
+    ///
+    /// # Panics
+    ///
+    /// As [`CounterBlock::try_write`] and [`CounterBlock::relevel`].
+    pub fn advance(
+        &mut self,
+        slot: usize,
+        target: u64,
+        relevel_to: impl FnOnce(u64) -> u64,
+    ) -> Result<Option<CounterBlock>, Saturated> {
+        match self.try_write(slot, target) {
+            Ok(()) => return Ok(None),
+            Err(Refusal::Saturated) => return Err(Saturated),
+            Err(Refusal::Overflow) => {}
+        }
+        let before = self.clone();
+        self.relevel(relevel_to(self.max_value() + 1))?;
+        Ok(Some(before))
     }
 
     /// Whether raising `slot` to `target` would succeed, without changing
@@ -384,21 +406,27 @@ impl CounterBlock {
     /// `target`. The caller is responsible for re-encrypting all covered
     /// data blocks with the new value (that traffic is the overflow cost).
     ///
+    /// # Errors
+    ///
+    /// [`Saturated`], block unchanged, when `target` passes [`COUNTER_MAX`].
+    ///
     /// # Panics
     ///
     /// Panics unless `target > max_value()`, which both the baseline policy
-    /// (`max + 1`) and RMCC's policy (nearest memoized ≥ `max + 1`) satisfy,
-    /// and panics if `target` exceeds the 56-bit counter space.
-    pub fn relevel(&mut self, target: u64) {
+    /// (`max + 1`) and RMCC's policy (nearest memoized ≥ `max + 1`) satisfy.
+    pub fn relevel(&mut self, target: u64) -> Result<(), Saturated> {
         assert!(
             target > self.max_value(),
             "relevel must move every counter forward"
         );
-        assert!(target <= COUNTER_MAX, "counter value exceeds 56 bits");
+        if target > COUNTER_MAX {
+            return Err(Saturated);
+        }
         *self = CounterBlock {
             major: target,
             ..CounterBlock::new(self.org())
         };
+        Ok(())
     }
 
     /// Morphable's min-rebase by `low`, the smallest minor: subtracts it
@@ -492,8 +520,7 @@ mod tests {
             cb.try_write(0, v).unwrap();
         }
         assert_eq!(cb.value(0), 127);
-        let err = cb.try_write(0, 128).unwrap_err();
-        assert_eq!(err.min_relevel_target, 128);
+        assert_eq!(cb.try_write(0, 128), Err(Refusal::Overflow));
     }
 
     #[test]
@@ -501,7 +528,7 @@ mod tests {
         let mut cb = CounterBlock::new(CounterOrg::Sc64);
         cb.try_write(0, 127).unwrap();
         cb.try_write(1, 50).unwrap();
-        cb.relevel(128);
+        cb.relevel(128).unwrap();
         for slot in 0..64 {
             assert_eq!(cb.value(slot), 128);
         }
@@ -522,7 +549,7 @@ mod tests {
     fn relevel_backwards_panics() {
         let mut cb = CounterBlock::new(CounterOrg::Sc64);
         cb.try_write(0, 100).unwrap();
-        cb.relevel(100);
+        let _ = cb.relevel(100);
     }
 
     #[test]
@@ -622,17 +649,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "56 bits")]
-    fn mono_overflow_at_56_bits_panics() {
+    fn writes_and_relevels_past_56_bits_are_refused() {
         let mut cb = CounterBlock::new(CounterOrg::Mono8);
-        let _ = cb.try_write(0, COUNTER_MAX + 1);
+        cb.try_write(0, COUNTER_MAX).unwrap();
+        let before = cb.clone();
+        assert_eq!(cb.try_write(1, COUNTER_MAX + 1), Err(Refusal::Saturated));
+        assert_eq!(cb.relevel(COUNTER_MAX + 1), Err(Saturated));
+        assert_eq!(cb, before, "a refusal changes nothing");
+    }
+
+    #[test]
+    fn advance_writes_relevels_or_refuses() {
+        let mut cb = CounterBlock::new(CounterOrg::Sc64);
+        assert_eq!(cb.advance(0, 127, |_| unreachable!()), Ok(None));
+        // 128 does not fit a 7-bit minor: relevel to the caller's choice.
+        let before = cb.clone();
+        let chosen = |min: u64| {
+            assert_eq!(min, 128);
+            1_000
+        };
+        assert_eq!(cb.advance(1, 128, chosen), Ok(Some(before)));
+        assert!(cb.values().all(|v| v == 1_000));
+        // A target, or a relevel target, past COUNTER_MAX is refused.
+        let mut cb = CounterBlock::with_state(CounterOrg::Sc64, COUNTER_MAX - 130, vec![0; 64]);
+        let before = cb.clone();
+        assert_eq!(cb.advance(0, COUNTER_MAX + 1, |min| min), Err(Saturated));
+        assert_eq!(cb.advance(1, COUNTER_MAX, |min| min + 200), Err(Saturated));
+        assert_eq!(cb, before);
+        // Up to COUNTER_MAX itself, the rule writes and relevels.
+        assert_eq!(
+            cb.advance(1, COUNTER_MAX - 2, |min| min + 2),
+            Ok(Some(before))
+        );
+        assert_eq!(cb.value(1), COUNTER_MAX - 127);
+        assert_eq!(cb.advance(1, COUNTER_MAX, |_| unreachable!()), Ok(None));
     }
 
     #[test]
     fn values_below_major_overflow() {
         let mut cb = CounterBlock::new(CounterOrg::Sc64);
         cb.try_write(0, 127).unwrap();
-        cb.relevel(200);
+        cb.relevel(200).unwrap();
         // Target 201 ok, but a target below the major cannot be encoded...
         cb.try_write(1, 201).unwrap();
         // ...there is no such case via the public API since writes must
@@ -648,7 +705,8 @@ mod vec_oracle_tests {
     //! rescanned: random `try_write`/`can_write`/`relevel`/`with_state` runs
     //! on all three formats must leave the same major and minors and give
     //! the same results and `max_value`, and after every step the kept
-    //! summary must equal a rescan.
+    //! summary must equal a rescan. Writes and relevels past `COUNTER_MAX`
+    //! must be refused with the block still equal to the oracle.
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -678,11 +736,12 @@ mod vec_oracle_tests {
             self.major + self.minors.iter().copied().max().unwrap_or(0)
         }
 
-        fn try_write(&mut self, slot: usize, target: u64) -> Result<(), WouldOverflow> {
-            assert!(target > self.value(slot) && target <= COUNTER_MAX);
-            let overflow = WouldOverflow {
-                min_relevel_target: self.max_value() + 1,
-            };
+        fn try_write(&mut self, slot: usize, target: u64) -> Result<(), Refusal> {
+            assert!(target > self.value(slot));
+            if target > COUNTER_MAX {
+                return Err(Refusal::Saturated);
+            }
+            let overflow = Refusal::Overflow;
             if target < self.major {
                 return Err(overflow);
             }
@@ -720,10 +779,14 @@ mod vec_oracle_tests {
             }
         }
 
-        fn relevel(&mut self, target: u64) {
-            assert!(target > self.max_value() && target <= COUNTER_MAX);
+        fn relevel(&mut self, target: u64) -> Result<(), Saturated> {
+            assert!(target > self.max_value());
+            if target > COUNTER_MAX {
+                return Err(Saturated);
+            }
             self.major = target;
             self.minors.iter_mut().for_each(|m| *m = 0);
+            Ok(())
         }
 
         fn rebase_by(&mut self, min: u64) {
@@ -772,7 +835,8 @@ mod vec_oracle_tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        /// `try_write` where the target is legal, `can_write` otherwise.
+        /// `try_write` where the target moves the slot forward, `can_write`
+        /// otherwise.
         /// `zero` picks the slot among those holding a zero minor, so a
         /// block with one zero has it written.
         Write {
@@ -799,6 +863,8 @@ mod vec_oracle_tests {
         only_zero_writes: [u64; 2],
         counter_max_writes: u64,
         relevels: u64,
+        /// Refused writes and relevels past `COUNTER_MAX`.
+        saturated: [u64; 2],
     }
 
     fn pick<T: Copy>(rng: &mut TestRng, options: &[T]) -> T {
@@ -955,8 +1021,7 @@ mod vec_oracle_tests {
                     let t = resolve(target, current, oracle.max_value());
                     let predicted = cb.can_write(slot, t);
                     assert_eq!(predicted, oracle.can_write(slot, t), "can_write {ctx:?}");
-                    let legal = t > current && t <= COUNTER_MAX;
-                    if matches!(op, Op::Write { .. }) && legal {
+                    if matches!(op, Op::Write { .. }) && t > current {
                         let only_zero = oracle.minors[slot] == 0
                             && oracle.minors.iter().filter(|&&m| m == 0).count() == 1;
                         let got = cb.try_write(slot, t);
@@ -967,15 +1032,17 @@ mod vec_oracle_tests {
                             cov.only_zero_writes[usize::from(got.is_ok())] += 1;
                         }
                         cov.counter_max_writes += u64::from(got.is_ok() && t == COUNTER_MAX);
+                        cov.saturated[0] += u64::from(got == Err(Refusal::Saturated));
                     }
                 }
                 Op::Relevel(target) => {
                     let max = oracle.max_value();
                     let t = resolve(target, max, max);
-                    if t > max && t <= COUNTER_MAX {
-                        cb.relevel(t);
-                        oracle.relevel(t);
-                        cov.relevels += 1;
+                    if t > max {
+                        let got = cb.relevel(t);
+                        assert_eq!(got, oracle.relevel(t), "relevel {ctx:?}");
+                        cov.relevels += u64::from(got.is_ok());
+                        cov.saturated[1] += u64::from(got.is_err());
                     }
                 }
                 Op::WithState(major, ref minors) => {
@@ -1010,6 +1077,8 @@ mod vec_oracle_tests {
             cov.only_zero_writes[1],
             cov.counter_max_writes,
             cov.relevels,
+            cov.saturated[0],
+            cov.saturated[1],
         ];
         assert!(floors.iter().all(|&n| n >= 50), "{cov:?}");
     }

@@ -11,7 +11,7 @@
 use rmcc_cache::set_assoc::{CacheStats, SetAssocCache};
 use rmcc_crypto::aes::{AesVariant, Backend, BATCH_BLOCKS};
 use rmcc_crypto::mac::{compute_mac, verify_mac, xor_with_pads, DataBlock, MacKeys};
-use rmcc_crypto::otp::{KeySet, OtpPipeline, RmccOtp, SgxOtp, COUNTER_MAX};
+use rmcc_crypto::otp::{KeySet, OtpPipeline, RmccOtp, SgxOtp};
 use rmcc_crypto::stats::{CryptoCost, CryptoStats};
 
 use crate::arena::PagedArena;
@@ -533,11 +533,6 @@ impl SecureMemory {
         self.meta.layout().node_addr(level, index) >> 6
     }
 
-    /// The OTP pipeline's diagnostic name.
-    pub fn pipeline_name(&self) -> &'static str {
-        self.pipeline.name()
-    }
-
     /// The AES backend this engine's keys were expanded on.
     pub fn backend(&self) -> Backend {
         self.backend
@@ -714,44 +709,36 @@ impl SecureMemory {
     ) -> Result<(), WriteError> {
         self.meta.layout().check_data_block(block)?;
         let current = self.meta.data_counter(block);
-        let target = if use_policy {
-            self.policy.bump(current)
+        let mut baseline = IncrementPolicy;
+        let policy: &mut dyn CounterUpdatePolicy = if use_policy {
+            self.policy.as_mut()
         } else {
-            current.saturating_add(1)
+            &mut baseline
         };
+        let target = policy.bump(current);
         assert!(target > current, "policy must increase the counter");
-        if target > COUNTER_MAX {
-            return Err(WriteError::CounterSaturated { counter: current });
-        }
-        if let Err(overflow) = self.meta.write_data_counter(block, target) {
-            let relevel_to = if use_policy {
-                self.policy.relevel_target(overflow.min_relevel_target)
-            } else {
-                overflow.min_relevel_target
-            };
-            assert!(relevel_to >= overflow.min_relevel_target);
-            if relevel_to > COUNTER_MAX {
-                return Err(WriteError::CounterSaturated { counter: current });
-            }
-            let idx = self.meta.layout().l0_index(block);
+        let layout = self.meta.layout();
+        let (idx, slot) = (layout.l0_index(block), layout.l0_slot(block));
+        let releveled = self
+            .meta
+            .advance(0, idx, slot, target, |min| policy.relevel_target(min))
+            .map_err(|_| WriteError::CounterSaturated { counter: current })?;
+        if let Some(before) = releveled {
             // Recover the plaintexts of every covered, already-written block
-            // *before* the relevel erases their old counters.
+            // under its counter in the block as it was before the relevel.
             let coverage = self.meta.org().coverage() as u64;
             let mut to_reencrypt = std::mem::take(&mut self.scratch_reencrypt);
             to_reencrypt.clear();
-            for slot in 0..coverage {
-                let b = idx * coverage + slot;
+            for (b, old_counter) in (idx * coverage..).zip(before.values()) {
                 if b == block {
                     continue;
                 }
                 let Some(stored) = self.data.get(b).copied() else {
                     continue;
                 };
-                let old_counter = self.meta.data_counter(b);
                 let pads = self.pads_for(b, old_counter);
                 to_reencrypt.push((b, xor_with_pads(&stored.cipher, &pads)));
             }
-            self.meta.relevel(0, idx, relevel_to);
             // Re-encrypt under the new shared counter value.
             for (b, plaintext) in to_reencrypt.drain(..) {
                 let counter = self.meta.data_counter(b);
@@ -769,7 +756,6 @@ impl SecureMemory {
         let mac = compute_mac(&self.mac_keys, &cipher, pads.mac);
         self.store_data(block, StoredData { cipher, mac });
         // The L0 counter block changed: publish its new image up the tree.
-        let idx = self.meta.layout().l0_index(block);
         self.publish_node(0, idx)
     }
 
@@ -882,18 +868,16 @@ impl SecureMemory {
         // not written back: its image would be MACed under a counter that
         // already MACed an older image.
         let current = self.meta.node_counter(level, idx);
-        if current >= COUNTER_MAX {
+        let slot = self.meta.layout().parent_slot(idx);
+        let Ok(releveled) = self
+            .meta
+            .advance(parent_level, parent_idx, slot, current + 1, |min| min)
+        else {
             self.counter_cache.invalidate(self.node_line(level, idx));
             return Err(WriteError::CounterSaturated { counter: current });
-        }
-        if let Err(overflow) = self.meta.write_node_counter(level, idx, current + 1) {
+        };
+        if releveled.is_some() {
             // Parent relevel: every sibling node image must be re-MACed.
-            if overflow.min_relevel_target > COUNTER_MAX {
-                self.counter_cache.invalidate(self.node_line(level, idx));
-                return Err(WriteError::CounterSaturated { counter: current });
-            }
-            self.meta
-                .relevel(parent_level, parent_idx, overflow.min_relevel_target);
             let arity = self.meta.org().tree_arity() as u64;
             for slot in 0..arity {
                 let sibling = parent_idx * arity + slot;
@@ -1190,9 +1174,10 @@ impl SecureMemory {
 
     /// Overwrites the stored image of node (`level`, `index`) with a forged
     /// counter block whose every slot reads `value` — e.g. the 56-bit
-    /// [`COUNTER_MAX`] bound, probing for saturation-handling bugs. The old
-    /// MAC is kept (or zero for never-written nodes): the attacker cannot
-    /// compute a valid MAC for the forged image.
+    /// [`COUNTER_MAX`](rmcc_crypto::otp::COUNTER_MAX) bound, probing for
+    /// saturation-handling bugs. The old MAC is kept (or zero for
+    /// never-written nodes): the attacker cannot compute a valid MAC for
+    /// the forged image.
     ///
     /// # Errors
     ///
@@ -1258,6 +1243,7 @@ impl SecureMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmcc_crypto::otp::COUNTER_MAX;
 
     fn mem(kind: PipelineKind) -> SecureMemory {
         SecureMemory::new(CounterOrg::Morphable128, 1 << 24, kind, 99)
@@ -1615,7 +1601,12 @@ mod tests {
         m.write(0, [1u8; 64]).unwrap();
         m.write(1, [2u8; 64]).unwrap();
         let (parent_level, parent_idx) = m.layout().parent_loc(0, 0).unwrap();
-        m.meta.relevel(parent_level, parent_idx, COUNTER_MAX);
+        let park = |m: &mut SecureMemory, to| {
+            m.meta
+                .with_block_mut(parent_level, parent_idx, |cb| cb.relevel(to))
+                .unwrap();
+        };
+        park(&mut m, COUNTER_MAX);
         m.rebuild();
         assert_eq!(m.read(0).unwrap(), [1u8; 64], "caches L0 node 0");
         assert!(matches!(
@@ -1633,7 +1624,7 @@ mod tests {
         let mut m = mem(PipelineKind::Rmcc);
         m.write(0, [1u8; 64]).unwrap();
         m.write(1, [2u8; 64]).unwrap();
-        m.meta.relevel(parent_level, parent_idx, COUNTER_MAX - 1);
+        park(&mut m, COUNTER_MAX - 1);
         m.rebuild();
         assert_eq!(m.read(0).unwrap(), [1u8; 64], "caches L0 node 0");
         m.write(1, [3u8; 64]).unwrap();

@@ -38,7 +38,7 @@ pub mod layout;
 pub mod service;
 pub mod tree;
 
-pub use counters::{CounterBlock, CounterOrg, WouldOverflow};
+pub use counters::{CounterBlock, CounterOrg, Refusal, Saturated};
 pub use engine::{
     CounterUpdatePolicy, DataSnapshot, IncrementPolicy, NodeSnapshot, PipelineKind, ReadError,
     RebuildReport, SecureMemory, TamperError, WriteError,

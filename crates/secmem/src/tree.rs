@@ -9,7 +9,7 @@
 //! (§IV-D2) consistent.
 
 use crate::arena::PagedArena;
-use crate::counters::{CounterBlock, CounterOrg, WouldOverflow};
+use crate::counters::{CounterBlock, CounterOrg, Saturated};
 use crate::layout::MetadataLayout;
 
 /// How untouched counter blocks materialize.
@@ -69,7 +69,8 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 ///
 /// let mut meta = MetadataState::new(CounterOrg::Sc64, 1 << 30, InitPolicy::Zero);
 /// assert_eq!(meta.data_counter(5), 0);
-/// meta.write_data_counter(5, 1).unwrap();
+/// // Data block 5 is slot 5 of level-0 counter block 0.
+/// meta.advance(0, 0, 5, 1, |min| min).unwrap();
 /// assert_eq!(meta.data_counter(5), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -224,24 +225,6 @@ impl MetadataState {
         self.block_mut(0, idx).value(slot)
     }
 
-    /// Raises data block `data_block`'s counter to `target`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WouldOverflow`] when the counter block must relevel; the
-    /// caller picks the target and calls [`MetadataState::relevel`].
-    pub fn write_data_counter(
-        &mut self,
-        data_block: u64,
-        target: u64,
-    ) -> Result<(), WouldOverflow> {
-        let idx = self.layout.l0_index(data_block);
-        let slot = self.layout.l0_slot(data_block);
-        self.block_mut(0, idx).try_write(slot, target)?;
-        self.max_observed = self.max_observed.max(target);
-        Ok(())
-    }
-
     /// The counter protecting metadata node `index` at `level` — i.e. the
     /// value held in its parent (which may be the on-chip root).
     ///
@@ -261,45 +244,32 @@ impl MetadataState {
         self.block_mut(parent_level, parent_idx).value(slot)
     }
 
-    /// Raises the counter protecting node `index` at `level` to `target`
-    /// (done whenever that node is written back to memory).
+    /// [`CounterBlock::advance`] on `slot` of the block at `level` /
+    /// `index`; a level-0 value it produces enters the Observed-System-Max
+    /// register.
     ///
     /// # Errors
     ///
-    /// Propagates [`WouldOverflow`] from the parent block.
+    /// [`Saturated`], nothing changed, past the 56-bit counter space.
     ///
     /// # Panics
     ///
-    /// Panics when `level` / `index` fall outside the layout; callers that
-    /// need a fallible lookup should validate via
-    /// [`MetadataLayout::parent_loc`] first.
-    #[allow(clippy::expect_used)] // documented panic contract
-    pub fn write_node_counter(
+    /// When the node lies outside the layout, or as the block's advance.
+    pub fn advance(
         &mut self,
         level: usize,
         index: u64,
+        slot: usize,
         target: u64,
-    ) -> Result<(), WouldOverflow> {
-        let slot = self.layout.parent_slot(index);
-        let (parent_level, parent_idx) = self
-            .layout
-            .parent_loc(level, index)
-            // audit:allow(R1, reason = "out-of-layout nodes are this accessor's documented panic contract")
-            .expect("write_node_counter addressed a node outside the layout");
-        self.block_mut(parent_level, parent_idx)
-            .try_write(slot, target)
-    }
-
-    /// Relevels the counter block at `level` / `index` to `target` and
-    /// returns how many child blocks (data blocks for level 0, metadata
-    /// nodes otherwise) must be re-encrypted / re-MACed — the traffic cost
-    /// of the overflow.
-    pub fn relevel(&mut self, level: usize, index: u64, target: u64) -> usize {
-        self.block_mut(level, index).relevel(target);
+        relevel_to: impl FnOnce(u64) -> u64,
+    ) -> Result<Option<CounterBlock>, Saturated> {
+        let block = self.block_mut(level, index);
+        let before = block.advance(slot, target, relevel_to)?;
+        let value = block.value(slot);
         if level == 0 {
-            self.max_observed = self.max_observed.max(target);
+            self.max_observed = self.max_observed.max(value);
         }
-        self.layout.org().coverage()
+        Ok(before)
     }
 
     /// Runs `f` with mutable access to the counter block at `level` /
@@ -414,20 +384,19 @@ mod tests {
     #[test]
     fn write_updates_value_and_max_register() {
         let mut m = state(InitPolicy::Zero);
-        m.write_data_counter(10, 42).unwrap();
+        assert_eq!(m.advance(0, 0, 10, 42, |_| unreachable!()), Ok(None));
         assert_eq!(m.data_counter(10), 42);
         assert_eq!(m.max_observed(), 42);
-        m.write_data_counter(11, 7).unwrap();
+        m.advance(0, 0, 11, 7, |_| unreachable!()).unwrap();
         assert_eq!(m.max_observed(), 42, "register keeps the max");
     }
 
     #[test]
-    fn relevel_counts_coverage_and_updates_register() {
+    fn relevel_returns_the_old_block_and_updates_register() {
         let mut m = MetadataState::new(CounterOrg::Sc64, 1 << 30, InitPolicy::Zero);
-        m.write_data_counter(0, 127).unwrap();
-        let err = m.write_data_counter(0, 128).unwrap_err();
-        let cost = m.relevel(0, 0, err.min_relevel_target);
-        assert_eq!(cost, 64);
+        m.advance(0, 0, 0, 127, |min| min).unwrap();
+        let before = m.advance(0, 0, 0, 128, |min| min).unwrap();
+        assert_eq!(before.map(|b| b.value(0)), Some(127), "the old block");
         assert_eq!(m.data_counter(0), 128);
         assert_eq!(m.data_counter(63), 128);
         assert_eq!(m.max_observed(), 128);
@@ -437,7 +406,8 @@ mod tests {
     fn node_counters_live_in_parents() {
         let mut m = state(InitPolicy::Zero);
         assert_eq!(m.node_counter(0, 5), 0);
-        m.write_node_counter(0, 5, 3).unwrap();
+        // Node 5's counter is slot 5 of its parent, L1 node 0.
+        m.advance(1, 0, 5, 3, |min| min).unwrap();
         assert_eq!(m.node_counter(0, 5), 3);
         // The sibling L0 node 6 shares the same L1 parent but another slot.
         assert_eq!(m.node_counter(0, 6), 0);
@@ -449,14 +419,14 @@ mod tests {
         let top = m.layout().depth() - 1;
         // Writing a top-level node's counter must succeed (root is level
         // depth(), held on-chip) and be readable back.
-        m.write_node_counter(top, 0, 9).unwrap();
+        m.advance(top + 1, 0, 0, 9, |min| min).unwrap();
         assert_eq!(m.node_counter(top, 0), 9);
     }
 
     #[test]
     fn data_counter_values_list_every_slot_of_touched_blocks() {
         let mut m = MetadataState::new(CounterOrg::Sc64, 1 << 30, InitPolicy::Zero);
-        m.write_data_counter(0, 5).unwrap(); // touches block 0 of cb 0
+        m.advance(0, 0, 0, 5, |min| min).unwrap(); // touches block 0 of cb 0
         let values: Vec<u64> = m.data_counter_values().collect();
         assert_eq!(values.len(), 64);
         assert_eq!(values.iter().filter(|&&v| v == 5).count(), 1);

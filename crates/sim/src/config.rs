@@ -136,9 +136,9 @@ pub struct SystemConfig {
     pub speculative_verify: bool,
     /// Record epoch-resolved telemetry (metrics registry + JSONL series) in
     /// the metadata engine. Off by default: when off, hot paths pay one
-    /// branch and the engine carries an inert [`rmcc_telemetry::NullSink`]
-    /// equivalent. The snapshot cadence is `rmcc.epoch_accesses` memory
-    /// requests, for every scheme (secure or not).
+    /// branch and the engine allocates no registry or series. The snapshot
+    /// cadence is `rmcc.epoch_accesses` memory requests, for every scheme
+    /// (secure or not).
     pub telemetry: bool,
 }
 

@@ -15,7 +15,6 @@ use rmcc_cache::set_assoc::SetAssocCache;
 use rmcc_core::rmcc::{Rmcc, UpdateOutcome, DEFAULT_LEVELS};
 use rmcc_core::table::{LookupResult, TableStats};
 use rmcc_crypto::stats::{CryptoCost, CryptoStats};
-use rmcc_secmem::counters::CounterBlock;
 use rmcc_secmem::layout::BLOCK_BYTES;
 use rmcc_secmem::tree::MetadataState;
 use rmcc_telemetry::{CounterId, GaugeId, HistogramId, MetricsRegistry, Telemetry};
@@ -182,6 +181,9 @@ pub struct MetaStats {
     pub accelerated_counter_misses: u64,
     /// Every memory request the MC issued (data + metadata + overflow).
     pub total_requests: u64,
+    /// Writeback counter updates refused because the counter would pass
+    /// the 56-bit counter space; the counter stayed where it was.
+    pub saturated_updates: u64,
 }
 
 impl MetaStats {
@@ -207,7 +209,7 @@ impl MetaStats {
 /// Typed handles into the engine's metric registry, resolved once at
 /// construction so epoch snapshots are plain indexed stores (no name
 /// lookups on any path). Registration order in [`TeleIds::register`] *is*
-/// the JSONL/CSV column order — append new metrics at the end of their
+/// the JSONL column order — append new metrics at the end of their
 /// section, or golden exports change.
 struct TeleIds {
     // Engine traffic, mirrored from `MetaStats` at each epoch boundary.
@@ -660,15 +662,34 @@ impl MetaEngine {
 
     /// Raises the counter in `slot` of the counter block at `level`/`index`
     /// for a writeback: RMCC's memoization-aware update where a table covers
-    /// the level, else [`baseline_update`]. Counts the budget it charged.
+    /// the level, else the baseline `+1` by the block's one advance rule.
+    /// Counts the budget it charged, and a refusal at the end of the counter
+    /// space, which leaves the counter unchanged.
     fn bump_counter(&mut self, level: usize, index: u64, slot: usize) -> UpdateOutcome {
         let meta = self.meta.as_mut().expect("secure scheme");
-        let update = match self.rmcc.as_mut() {
-            Some(r) if r.covers_level(level) => meta
-                .with_block_mut(level, index, |cb| r.update_counter(level, cb, slot, false))
-                .expect("writeback updates always apply"),
-            _ => meta.with_block_mut(level, index, |cb| baseline_update(cb, slot)),
-        };
+        let rmcc = self.rmcc.as_mut().filter(|r| r.covers_level(level));
+        let update = meta.with_block_mut(level, index, |cb| {
+            let update = match rmcc {
+                Some(r) => r.update_counter(level, cb, slot, false).ok(),
+                // The baseline touches no `Rmcc` state, so updates at levels
+                // without a table never count toward its DoS guard.
+                None => cb
+                    .advance(slot, cb.value(slot) + 1, |min| min)
+                    .ok()
+                    .map(|before| UpdateOutcome {
+                        new_value: cb.value(slot),
+                        releveled: before.is_some(),
+                        ..UpdateOutcome::default()
+                    }),
+            };
+            // A writeback is never declined: no update means saturation.
+            update.ok_or(cb.value(slot))
+        });
+        self.stats.saturated_updates += u64::from(update.is_err());
+        let update = update.unwrap_or_else(|counter| UpdateOutcome {
+            new_value: counter,
+            ..UpdateOutcome::default()
+        });
         self.stats.rmcc_charged_requests += update.charged_requests;
         update
     }
@@ -786,7 +807,7 @@ impl MetaEngine {
                     let l0_line = meta.layout().node_addr(0, l0_index) >> 6;
                     let updated =
                         meta.with_block_mut(0, l0_index, |cb| r.update_counter(0, cb, slot, true));
-                    if let Some(u) = updated {
+                    if let Ok(u) = updated {
                         self.stats.read_triggered_writes += 1;
                         self.stats.rmcc_charged_requests += u.charged_requests;
                         out.counter_value = u.new_value;
@@ -874,27 +895,6 @@ fn push_reencrypt(side: &mut Vec<SideRequest>, addr: u64, kind: SideKind) {
     }
 }
 
-/// The baseline counter update: `+1`, or a relevel to the block's
-/// `min_relevel_target` when `+1` does not fit. It touches no [`Rmcc`]
-/// state, so updates at levels without a memoization table never count
-/// toward its DoS guard.
-fn baseline_update(cb: &mut CounterBlock, slot: usize) -> UpdateOutcome {
-    let target = cb.value(slot) + 1;
-    let (new_value, releveled) = match cb.try_write(slot, target) {
-        Ok(()) => (target, false),
-        Err(of) => {
-            cb.relevel(of.min_relevel_target);
-            (of.min_relevel_target, true)
-        }
-    };
-    UpdateOutcome {
-        new_value,
-        releveled,
-        charged_requests: 0,
-        landed_on_memoized: false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,6 +953,30 @@ mod tests {
         let w2 = e.on_writeback(0x2000);
         assert_eq!(w2.counter_value, 2);
         assert!(!w2.releveled);
+    }
+
+    #[test]
+    fn writebacks_past_counter_max_are_counted_not_applied() {
+        use rmcc_crypto::otp::COUNTER_MAX;
+        let block = 0x2000 / BLOCK_BYTES;
+        for scheme in [Scheme::Sc64, Scheme::Morphable, Scheme::Rmcc] {
+            let mut e = MetaEngine::new(&cfg(scheme));
+            // A table group at the top of the counter space: RMCC's first
+            // writeback conforms onto COUNTER_MAX itself.
+            e.seed_rmcc_group(0, COUNTER_MAX - 3);
+            let meta = e.metadata().expect("secure scheme");
+            let index = meta.layout().l0_index(block);
+            meta.with_block_mut(0, index, |cb| cb.relevel(COUNTER_MAX - 1))
+                .expect("below the bound");
+            let values: Vec<u64> = (0..4)
+                .map(|_| e.on_writeback(block * BLOCK_BYTES).counter_value)
+                .collect();
+            assert_eq!(values, [COUNTER_MAX; 4], "{scheme:?}");
+            let meta = e.metadata().expect("secure scheme");
+            assert_eq!(meta.data_counter(block), COUNTER_MAX, "{scheme:?}");
+            assert_eq!(e.stats().saturated_updates, 3, "{scheme:?}");
+            assert_eq!(e.stats().relevels_l0, 0, "{scheme:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! JSONL / CSV rendering of an epoch series, plus a strict parser for the
+//! JSONL rendering of an epoch series, plus a strict parser for the
 //! emitted JSONL dialect so tests and tools can validate output offline.
 //!
 //! Rendering is deterministic: key order is `epoch`, `accesses`, then the
@@ -84,46 +84,6 @@ pub fn to_jsonl(registry: &MetricsRegistry, series: &EpochSeries) -> String {
             out.push_str("]}");
         }
         out.push_str("}\n");
-    }
-    out
-}
-
-/// Renders the series as CSV: a header row then one row per epoch.
-/// Histograms flatten to one `name_le<bound>` column per bucket plus a
-/// `name_inf` overflow column.
-pub fn to_csv(registry: &MetricsRegistry, series: &EpochSeries) -> String {
-    let mut out = String::from("epoch,accesses");
-    for name in registry.counter_names() {
-        let _ = write!(out, ",{name}");
-    }
-    for name in registry.gauge_names() {
-        let _ = write!(out, ",{name}");
-    }
-    for (name, hist) in registry.hist_names().iter().zip(registry.hists()) {
-        for b in hist.bounds() {
-            let _ = write!(out, ",{name}_le{b}");
-        }
-        let _ = write!(out, ",{name}_inf");
-    }
-    out.push('\n');
-    for snap in series.snapshots() {
-        let _ = write!(out, "{},{}", snap.epoch, snap.accesses);
-        for value in &snap.counters {
-            let _ = write!(out, ",{value}");
-        }
-        for value in &snap.gauges {
-            out.push(',');
-            if value.is_finite() {
-                let _ = write!(out, "{value}");
-            }
-            // Non-finite → empty cell, mirroring JSON's null.
-        }
-        for counts in &snap.hist_counts {
-            for c in counts {
-                let _ = write!(out, ",{c}");
-            }
-        }
-        out.push('\n');
     }
     out
 }
@@ -414,7 +374,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<JsonValue>, JsonError> {
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
-    use crate::series::SnapshotSink;
 
     fn sample() -> (MetricsRegistry, EpochSeries) {
         let mut reg = MetricsRegistry::new();
@@ -426,9 +385,9 @@ mod tests {
         reg.set_gauge(conf, 0.75);
         reg.observe(depth, 2);
         reg.observe(depth, 9);
-        series.record(reg.snapshot(0, 1000));
+        series.push(reg.snapshot(0, 1000));
         reg.incr(hits, 3);
-        series.record(reg.snapshot(1, 1000));
+        series.push(reg.snapshot(1, 1000));
         (reg, series)
     }
 
@@ -441,20 +400,6 @@ mod tests {
                         {\"epoch\":1,\"accesses\":1000,\"hits\":15,\"conformance\":0.75,\
                         \"depth\":{\"le\":[1,2],\"counts\":[0,1,1]}}\n";
         assert_eq!(jsonl, expected);
-    }
-
-    #[test]
-    fn csv_flattens_histograms() {
-        let (reg, series) = sample();
-        let csv = to_csv(&reg, &series);
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next(),
-            Some("epoch,accesses,hits,conformance,depth_le1,depth_le2,depth_inf")
-        );
-        assert_eq!(lines.next(), Some("0,1000,12,0.75,0,1,1"));
-        assert_eq!(lines.next(), Some("1,1000,15,0.75,0,1,1"));
-        assert_eq!(lines.next(), None);
     }
 
     #[test]
@@ -513,16 +458,15 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_gauges_render_as_null_and_empty_cell() {
+    fn non_finite_gauges_render_as_null() {
         let mut reg = MetricsRegistry::new();
         let g = reg.gauge("g");
         reg.set_gauge(g, f64::NAN);
         let mut series = EpochSeries::new();
-        series.record(reg.snapshot(0, 1));
+        series.push(reg.snapshot(0, 1));
         assert_eq!(
             to_jsonl(&reg, &series),
             "{\"epoch\":0,\"accesses\":1,\"g\":null}\n"
         );
-        assert_eq!(to_csv(&reg, &series), "epoch,accesses,g\n0,1,\n");
     }
 }

@@ -10,10 +10,8 @@
 //!   registered once in a [`MetricsRegistry`]; registration order defines
 //!   the (stable) export column order.
 //! * [`series`] — per-epoch [`EpochSnapshot`]s appended to an
-//!   [`EpochSeries`]; the [`SnapshotSink`] trait plus [`NullSink`] let hot
-//!   paths route snapshots anywhere, including nowhere, without generics in
-//!   the engines.
-//! * [`export`] — JSONL and CSV renderers and a strict parser for the JSONL
+//!   [`EpochSeries`].
+//! * [`export`] — a JSONL renderer and a strict parser for the JSONL
 //!   dialect this crate emits, so tests and tools can validate output
 //!   without external dependencies.
 //! * [`profile`] — wall-clock phase timers for the experiment harness.
@@ -24,7 +22,7 @@
 //! Everything except [`profile`] is a pure function of the metric updates
 //! applied to it: no clocks, no host randomness, no iteration over unordered
 //! maps. Two runs that apply the same updates in the same order produce
-//! byte-identical JSONL/CSV — across reruns and across serial vs. parallel
+//! byte-identical JSONL — across reruns and across serial vs. parallel
 //! experiment harnesses. Tests treat telemetry as a correctness oracle, so
 //! any nondeterminism here is a bug, not noise.
 //!
@@ -59,10 +57,10 @@ pub mod profile;
 pub mod registry;
 pub mod series;
 
-pub use export::{parse_json_line, parse_jsonl, to_csv, to_jsonl, JsonError, JsonValue};
+pub use export::{parse_json_line, parse_jsonl, to_jsonl, JsonError, JsonValue};
 pub use profile::PhaseProfiler;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
-pub use series::{EpochSeries, EpochSnapshot, NullSink, SnapshotSink};
+pub use series::{EpochSeries, EpochSnapshot};
 
 /// A telemetry handle an engine can embed: either fully off (one branch on
 /// the hot path, nothing allocated) or an [`Active`] registry + series pair.
@@ -89,7 +87,7 @@ impl Active {
     /// Snapshots the registry's current values as epoch `epoch`, which
     /// spanned `accesses` memory accesses, and appends it to the series.
     pub fn snapshot(&mut self, epoch: u64, accesses: u64) {
-        self.series.record(self.registry.snapshot(epoch, accesses));
+        self.series.push(self.registry.snapshot(epoch, accesses));
     }
 
     /// The values a counter took across all recorded epochs, by name.
@@ -159,11 +157,6 @@ impl Telemetry {
     pub fn to_jsonl(&self) -> Option<String> {
         self.active().map(|a| to_jsonl(&a.registry, &a.series))
     }
-
-    /// Renders the recorded series as CSV, `None` when off.
-    pub fn to_csv(&self) -> Option<String> {
-        self.active().map(|a| to_csv(&a.registry, &a.series))
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +169,6 @@ mod tests {
         assert!(!t.is_on());
         assert!(t.active_mut().is_none());
         assert!(t.to_jsonl().is_none());
-        assert!(t.to_csv().is_none());
     }
 
     #[test]

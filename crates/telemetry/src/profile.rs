@@ -3,7 +3,7 @@
 //! **Not covered by the determinism contract**: these timers read the host
 //! clock, so their values vary run to run. They exist for the harness's
 //! human-facing progress report (`--profile` style output) and must never
-//! feed the JSONL/CSV series that tests compare byte-for-byte. Keeping them
+//! feed the JSONL series that tests compare byte-for-byte. Keeping them
 //! in a separate module makes that boundary auditable.
 
 use std::time::{Duration, Instant};

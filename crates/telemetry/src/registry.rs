@@ -170,11 +170,6 @@ impl MetricsRegistry {
         self.counters.get(id.0).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges.get(id.0).copied().unwrap_or(0.0)
-    }
-
     /// Registered counter names, in registration (= export) order.
     pub fn counter_names(&self) -> &[String] {
         &self.counter_names

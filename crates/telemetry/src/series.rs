@@ -1,4 +1,4 @@
-//! Epoch snapshots, the append-only series, and snapshot sinks.
+//! Epoch snapshots and the append-only series they are recorded in.
 
 /// One epoch's worth of metric values, copied out of the registry at the
 /// epoch boundary. Counters are cumulative (not per-epoch deltas); gauges
@@ -19,24 +19,6 @@ pub struct EpochSnapshot {
     pub hist_counts: Vec<Vec<u64>>,
 }
 
-/// Anything that accepts epoch snapshots.
-///
-/// The engines push snapshots through this trait so tests can capture them
-/// ([`EpochSeries`]) and disabled paths can drop them ([`NullSink`]).
-pub trait SnapshotSink {
-    /// Accepts one snapshot.
-    fn record(&mut self, snapshot: EpochSnapshot);
-}
-
-/// A sink that discards every snapshot — the telemetry-off path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl SnapshotSink for NullSink {
-    #[inline]
-    fn record(&mut self, _snapshot: EpochSnapshot) {}
-}
-
 /// An append-only, in-order record of epoch snapshots.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EpochSeries {
@@ -49,7 +31,7 @@ impl EpochSeries {
         Self::default()
     }
 
-    /// Appends a snapshot (alias for the [`SnapshotSink`] impl).
+    /// Appends a snapshot.
     pub fn push(&mut self, snapshot: EpochSnapshot) {
         self.snapshots.push(snapshot);
     }
@@ -75,12 +57,6 @@ impl EpochSeries {
     }
 }
 
-impl SnapshotSink for EpochSeries {
-    fn record(&mut self, snapshot: EpochSnapshot) {
-        self.push(snapshot);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,18 +76,11 @@ mod tests {
         let mut s = EpochSeries::new();
         assert!(s.is_empty());
         for e in 0..4 {
-            s.record(snap(e));
+            s.push(snap(e));
         }
         assert_eq!(s.len(), 4);
         let epochs: Vec<u64> = s.snapshots().iter().map(|x| x.epoch).collect();
         assert_eq!(epochs, vec![0, 1, 2, 3]);
         assert_eq!(s.last().map(|x| x.epoch), Some(3));
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut n = NullSink;
-        n.record(snap(0)); // no observable effect, must simply not panic
-        assert_eq!(n, NullSink);
     }
 }

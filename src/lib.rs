@@ -18,7 +18,7 @@
 //! | [`secmem`] | `rmcc-secmem` | SGX/SC-64/Morphable counters, integrity tree, functional secure memory |
 //! | [`core`] | `rmcc-core` | the memoization table, budgets, candidate monitor, update policy |
 //! | [`faults`] | `rmcc-faults` | seeded fault injection at every threat-model boundary + campaign driver |
-//! | [`telemetry`] | `rmcc-telemetry` | deterministic metrics registry, epoch snapshots, JSONL/CSV export |
+//! | [`telemetry`] | `rmcc-telemetry` | deterministic metrics registry, epoch snapshots, JSONL export |
 //! | [`sim`] | `rmcc-sim` | memory controller, core model, lifetime & detailed runners, experiments |
 //!
 //! ## Quickstart

@@ -1,12 +1,10 @@
 //! End-to-end integration tests: the functional secure memory exercised
 //! through every scheme, pipeline, and attack the threat model covers.
 
-use rmcc::core::rmcc::{Rmcc, RmccConfig};
+use rmcc::core::shard::{memo_policy, ShardMemoConfig};
 use rmcc::crypto::Backend;
 use rmcc::secmem::counters::CounterOrg;
-use rmcc::secmem::engine::{
-    CounterUpdatePolicy, IncrementPolicy, PipelineKind, ReadError, SecureMemory,
-};
+use rmcc::secmem::engine::{IncrementPolicy, PipelineKind, ReadError, SecureMemory};
 
 const ORGS: [CounterOrg; 3] = [
     CounterOrg::Mono8,
@@ -110,37 +108,19 @@ fn replay_detected_across_pipelines() {
     }
 }
 
-/// RMCC's memoization-aware update plugged into the functional engine:
-/// counters jump to memoized values and everything still decrypts.
-struct RmccPolicy(Rmcc);
-
-impl CounterUpdatePolicy for RmccPolicy {
-    fn bump(&mut self, current: u64) -> u64 {
-        self.0
-            .table(0)
-            .nearest_memoized_above(current)
-            .unwrap_or(current + 1)
-    }
-
-    fn relevel_target(&mut self, min_target: u64) -> u64 {
-        self.0
-            .table(0)
-            .relevel_target(min_target)
-            .unwrap_or(min_target)
-    }
-}
-
+/// RMCC's memoization-aware update plugged into the functional engine, as
+/// the sharded service plugs it in: counters jump to memoized values and
+/// everything still decrypts.
 #[test]
 fn functional_engine_with_real_rmcc_policy() {
-    let mut rmcc = Rmcc::new(RmccConfig::paper());
-    rmcc.seed_group(0, 1_000);
-    rmcc.seed_group(0, 50_000);
+    let (policy, handle) = memo_policy(&ShardMemoConfig::paper());
+    handle.seed_groups([1_000, 50_000]);
     let mut mem = SecureMemory::with_policy(
         CounterOrg::Morphable128,
         1 << 22,
         PipelineKind::Rmcc,
         6,
-        Box::new(RmccPolicy(rmcc)),
+        policy,
     );
     // Writes land on memoized values (1000, 1001, ...) and data is intact.
     for round in 0..5u8 {

@@ -86,8 +86,13 @@ proptest! {
             let slot = slot % slots;
             let target = cb.value(slot) + delta;
             let before: Vec<u64> = cb.values().collect();
-            match cb.try_write(slot, target) {
-                Ok(()) => {
+            let max = cb.max_value();
+            let relevel_to = |min: u64| {
+                assert!(min > max, "a relevel must pass the block's maximum");
+                min
+            };
+            match cb.advance(slot, target, relevel_to) {
+                Ok(None) => {
                     prop_assert_eq!(cb.value(slot), target);
                     // No other slot moved.
                     for (s, prev) in before.iter().enumerate() {
@@ -96,13 +101,13 @@ proptest! {
                         }
                     }
                 }
-                Err(of) => {
-                    prop_assert!(of.min_relevel_target > cb.max_value());
-                    cb.relevel(of.min_relevel_target);
+                Ok(Some(old)) => {
+                    prop_assert_eq!(old.values().collect::<Vec<u64>>(), before.clone());
                     for (s, prev) in before.iter().enumerate() {
-                        prop_assert!(cb.value(s) >= *prev, "slot {} went backwards", s);
+                        prop_assert!(cb.value(s) > *prev, "slot {} did not move forward", s);
                     }
                 }
+                Err(saturated) => panic!("{saturated:?} below 2^56"),
             }
             let v = cb.value(slot);
             prop_assert!(!seen[slot].contains(&v), "slot {} reused value {}", slot, v);
