@@ -6,7 +6,7 @@
 //! lifetime studies model "1MB L2 cache, 2MB LLC and 32KB counter cache per
 //! core" (§V) and the gem5 runs use 32/64 KB L1, 1 MB L2, 8 MB L3 (Table I).
 
-use crate::set_assoc::{CacheStats, SetAssocCache, LINE_BYTES};
+use crate::set_assoc::{AccessOutcome, CacheStats, Eviction, SetAssocCache, LINE_BYTES};
 
 /// `log2(LINE_BYTES)`: byte address → line address.
 const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
@@ -93,19 +93,34 @@ impl HierarchyConfig {
 }
 
 /// What one access did at the memory boundary.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HierarchyOutcome {
     /// The highest level that hit, or `None` if the access went to memory.
     pub hit_level: Option<Level>,
-    /// Dirty LLC victims that must be written back to memory. Usually empty
-    /// or a single line; cascaded victims can briefly produce more.
-    pub writebacks: Vec<u64>,
+    /// The dirty LLC victims are `writebacks[..n_writebacks]`: at most
+    /// three (the line's LLC fill, its L2 victim's, a dirty L1 victim's).
+    writebacks: [u64; 3],
+    n_writebacks: usize,
 }
 
 impl HierarchyOutcome {
     /// `true` when the access missed every level and needs a DRAM read.
     pub fn is_llc_miss(&self) -> bool {
         self.hit_level.is_none()
+    }
+
+    /// Dirty LLC victims that must be written back to memory, in eviction
+    /// order. Usually empty or a single line.
+    pub fn writebacks(&self) -> &[u64] {
+        &self.writebacks[..self.n_writebacks]
+    }
+
+    /// Records the LLC victim `v` as a writeback if it is dirty.
+    fn write_back(&mut self, v: Option<Eviction>) {
+        if let Some(v) = v.filter(|v| v.dirty) {
+            self.writebacks[self.n_writebacks] = v.addr;
+            self.n_writebacks += 1;
+        }
     }
 }
 
@@ -134,9 +149,10 @@ impl PrivateCaches {
         }
     }
 
-    /// Filters one *line* access through L1, L2 and `llc`: lookups top-down,
-    /// fills bottom-up, dirty victims cascading one level at a time, and
-    /// only dirty LLC evictions surfacing as memory writebacks.
+    /// Filters one *line* access through L1, L2 and `llc`: one scan per
+    /// level looks the line up top-down and fills it where it missed, dirty
+    /// victims cascade one level at a time, and only dirty LLC evictions
+    /// surface as memory writebacks.
     pub fn access(
         &mut self,
         line_addr: u64,
@@ -144,45 +160,34 @@ impl PrivateCaches {
         llc: &mut SetAssocCache,
     ) -> HierarchyOutcome {
         let mut out = HierarchyOutcome::default();
-
-        if self.l1.lookup(line_addr, is_write) {
+        // L1 takes the line carrying the write's dirty bit.
+        let AccessOutcome::Miss { evicted: l1_victim } = self.l1.lookup_fill(line_addr, is_write)
+        else {
             out.hit_level = Some(Level::L1);
             return out;
-        }
-        if self.l2.lookup(line_addr, false) {
-            out.hit_level = Some(Level::L2);
-        } else if llc.lookup(line_addr, false) {
-            out.hit_level = Some(Level::L3);
-        } else {
-            // Full miss: fetch from memory and install in the LLC.
-            if let Some(v) = llc.fill(line_addr, false).filter(|v| v.dirty) {
-                out.writebacks.push(v.addr);
+        };
+        if let AccessOutcome::Miss { evicted } = self.l2.lookup_fill(line_addr, false) {
+            match llc.lookup_fill(line_addr, false) {
+                AccessOutcome::Hit => out.hit_level = Some(Level::L3),
+                // Full miss: fetched from memory and installed in the LLC.
+                AccessOutcome::Miss { evicted } => out.write_back(evicted),
             }
+            spill(evicted, llc, &mut out);
+        } else {
+            out.hit_level = Some(Level::L2);
         }
-
-        // Fill into L2 unless it already hit there.
-        if out.hit_level != Some(Level::L2) {
-            self.fill_l2(line_addr, false, llc, &mut out.writebacks);
-        }
-        // Fill into L1, carrying the write's dirty bit; a dirty L1 victim
-        // goes into L2.
-        if let Some(v) = self.l1.fill(line_addr, is_write).filter(|v| v.dirty) {
-            self.fill_l2(v.addr, true, llc, &mut out.writebacks);
+        // A dirty L1 victim goes into L2.
+        if let Some(v) = l1_victim.filter(|v| v.dirty) {
+            spill(self.l2.fill(v.addr, true), llc, &mut out);
         }
         out
     }
+}
 
-    /// Installs `addr` in L2. A dirty L2 victim goes into `llc`, and a dirty
-    /// LLC victim of that becomes a memory writeback.
-    fn fill_l2(&mut self, addr: u64, dirty: bool, llc: &mut SetAssocCache, wbs: &mut Vec<u64>) {
-        let l2_victim = self.l2.fill(addr, dirty).filter(|v| v.dirty);
-        if let Some(v) = l2_victim
-            .and_then(|v| llc.fill(v.addr, true))
-            .filter(|v| v.dirty)
-        {
-            wbs.push(v.addr);
-        }
-    }
+/// Puts the L2 victim `v` into `llc` if it is dirty; a dirty LLC victim of
+/// that becomes a memory writeback.
+fn spill(v: Option<Eviction>, llc: &mut SetAssocCache, out: &mut HierarchyOutcome) {
+    out.write_back(v.filter(|v| v.dirty).and_then(|v| llc.fill(v.addr, true)));
 }
 
 /// The three-level hierarchy filter: [`PrivateCaches`] in front of an LLC
@@ -305,7 +310,7 @@ mod tests {
         let mut wrote_back = false;
         for a in 1..4096u64 {
             let out = h.access(a, false);
-            if out.writebacks.contains(&0) {
+            if out.writebacks().contains(&0) {
                 wrote_back = true;
                 break;
             }
@@ -318,7 +323,7 @@ mod tests {
         let mut h = tiny();
         let mut total_wb = 0;
         for a in 0..4096u64 {
-            total_wb += h.access(a, false).writebacks.len();
+            total_wb += h.access(a, false).writebacks().len();
         }
         assert_eq!(total_wb, 0);
     }
@@ -351,8 +356,112 @@ mod tests {
         for _ in 0..100 {
             let out = h.access(7, true);
             assert_eq!(out.hit_level, Some(Level::L1));
-            assert!(out.writebacks.is_empty());
+            assert!(out.writebacks().is_empty());
         }
+    }
+
+    /// `PrivateCaches::access` as it was before `lookup_fill`: lookups
+    /// top-down, then fills bottom-up, so every missed set was scanned once
+    /// by the lookup and again by the fill.
+    fn lookup_then_fill(
+        p: &mut PrivateCaches,
+        line_addr: u64,
+        is_write: bool,
+        llc: &mut SetAssocCache,
+    ) -> (Option<Level>, Vec<u64>) {
+        fn fill_l2(
+            p: &mut PrivateCaches,
+            addr: u64,
+            dirty: bool,
+            llc: &mut SetAssocCache,
+            wbs: &mut Vec<u64>,
+        ) {
+            let l2_victim = p.l2.fill(addr, dirty).filter(|v| v.dirty);
+            if let Some(v) = l2_victim
+                .and_then(|v| llc.fill(v.addr, true))
+                .filter(|v| v.dirty)
+            {
+                wbs.push(v.addr);
+            }
+        }
+        let (mut hit_level, mut wbs) = (None, Vec::new());
+        if p.l1.lookup(line_addr, is_write) {
+            return (Some(Level::L1), wbs);
+        }
+        if p.l2.lookup(line_addr, false) {
+            hit_level = Some(Level::L2);
+        } else if llc.lookup(line_addr, false) {
+            hit_level = Some(Level::L3);
+        } else if let Some(v) = llc.fill(line_addr, false).filter(|v| v.dirty) {
+            wbs.push(v.addr);
+        }
+        if hit_level != Some(Level::L2) {
+            fill_l2(p, line_addr, false, llc, &mut wbs);
+        }
+        if let Some(v) = p.l1.fill(line_addr, is_write).filter(|v| v.dirty) {
+            fill_l2(p, v.addr, true, llc, &mut wbs);
+        }
+        (hit_level, wbs)
+    }
+
+    /// One scan per level filters exactly as the lookup-then-fill sequence
+    /// did: two cores sharing an LLC, random lines with a third of them
+    /// writes, at a geometry small enough (an L2 twice the L1) that dirty
+    /// L1 victims miss L2 and one access can write back three lines. Each
+    /// access must give the same hit level and writebacks in order, and
+    /// every level the same statistics and resident lines.
+    #[test]
+    fn one_scan_per_level_matches_lookup_then_fill() {
+        let level = |lines: usize, ways| LevelConfig {
+            bytes: lines * 64,
+            ways,
+        };
+        let cfg = HierarchyConfig {
+            l1: level(4, 2),
+            l2: level(8, 2),
+            l3: level(8, 2),
+        };
+        let mut cores = [PrivateCaches::new(&cfg), PrivateCaches::new(&cfg)];
+        let mut oracles = cores.clone();
+        let mut llc = SetAssocCache::with_capacity(cfg.l3.bytes, cfg.l3.ways);
+        let mut oracle_llc = llc.clone();
+        let mut z = 0x2545_f491_u64;
+        let mut next = move || {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            z
+        };
+        let (mut levels, mut most_writebacks) = (std::collections::BTreeSet::new(), 0);
+        for step in 0..50_000 {
+            // A few hot lines keep hitting L1 while they age out of L2.
+            let span = if next() % 4 == 0 { 96 } else { 6 };
+            let (core, line, is_write) = (next() as usize % 2, next() % span, next() % 3 == 0);
+            let out = cores[core].access(line, is_write, &mut llc);
+            let (hit_level, wbs) =
+                lookup_then_fill(&mut oracles[core], line, is_write, &mut oracle_llc);
+            assert_eq!(out.hit_level, hit_level, "step {step}");
+            assert_eq!(out.writebacks(), &wbs[..], "step {step}");
+            levels.insert(hit_level);
+            most_writebacks = most_writebacks.max(wbs.len());
+        }
+        for (c, o) in cores.iter().zip(&oracles) {
+            for (a, b) in [(&c.l1, &o.l1), (&c.l2, &o.l2)] {
+                assert_eq!(a.stats(), b.stats());
+                assert_eq!(
+                    a.resident_lines().collect::<Vec<_>>(),
+                    b.resident_lines().collect::<Vec<_>>()
+                );
+            }
+        }
+        assert_eq!(llc.stats(), oracle_llc.stats());
+        assert_eq!(
+            llc.resident_lines().collect::<Vec<_>>(),
+            oracle_llc.resident_lines().collect::<Vec<_>>()
+        );
+        // The run reached every hit level and the deepest cascade.
+        assert_eq!(levels.len(), 4);
+        assert_eq!(most_writebacks, 3, "deepest cascade");
     }
 
     #[test]

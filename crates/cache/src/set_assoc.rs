@@ -84,10 +84,10 @@ const INVALID: u64 = 0;
 /// and TLBs (where a "line" is a page number).
 ///
 /// The state is two flat arrays indexed by slot (`set * ways + way`): the
-/// tags, which a lookup scans, and the stamps, which only a tag match or a
-/// fill reads. Since an invalid way's stamp is 0 and valid stamps order by
-/// last use, the first smallest stamp of a set is its replacement victim:
-/// the first invalid way, else the LRU way.
+/// tags and the stamps. Since an invalid way's stamp is 0 and valid stamps
+/// order by last use, the first smallest stamp of a set is its replacement
+/// victim (the first invalid way, else the LRU way), so one scan of a set
+/// finds both a tag match and the victim a fill would take.
 ///
 /// # Examples
 ///
@@ -107,7 +107,6 @@ pub struct SetAssocCache {
     stamps: Vec<u64>,
     ways: usize,
     set_mask: u64,
-    set_shift: u32,
     clock: u64,
     stats: CacheStats,
 }
@@ -138,7 +137,6 @@ impl SetAssocCache {
             stamps: vec![INVALID; total_lines],
             ways,
             set_mask: (n_sets - 1) as u64,
-            set_shift: 0,
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -181,32 +179,26 @@ impl SetAssocCache {
 
     /// The first slot of `addr`'s set.
     fn set_base(&self, addr: u64) -> usize {
-        ((addr >> self.set_shift) & self.set_mask) as usize * self.ways
+        (addr & self.set_mask) as usize * self.ways
     }
 
-    /// The slot holding `addr` in the set starting at `base`, if resident.
-    fn slot_in(&self, base: usize, addr: u64) -> Option<usize> {
-        let (tags, stamps) = (
-            &self.tags[base..base + self.ways],
-            &self.stamps[base..base + self.ways],
-        );
-        let way = tags
-            .iter()
-            .zip(stamps)
-            .position(|(&tag, &stamp)| tag == addr && stamp != INVALID)?;
-        Some(base + way)
-    }
-
-    /// The replacement victim of the set starting at `base`: its first
-    /// invalid way, else its LRU way.
-    fn victim_in(&self, base: usize) -> usize {
+    /// One scan of `addr`'s set: `Ok` with the slot holding `addr` if it
+    /// is resident, else `Err` with the replacement victim's slot, the
+    /// set's first smallest stamp (its first invalid way, else its LRU way).
+    fn scan(&self, addr: u64) -> Result<usize, usize> {
+        let base = self.set_base(addr);
+        let tags = &self.tags[base..base + self.ways];
         let stamps = &self.stamps[base..base + self.ways];
-        let (way, _) = stamps
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &stamp)| stamp)
-            .expect("set has at least one way");
-        base + way
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (way, (&tag, &stamp)) in tags.iter().zip(stamps).enumerate() {
+            if tag == addr && stamp != INVALID {
+                return Ok(base + way);
+            }
+            if stamp < oldest {
+                (victim, oldest) = (way, stamp);
+            }
+        }
+        Err(base + victim)
     }
 
     /// Advances the clock and returns the stamp of a line touched now.
@@ -235,52 +227,52 @@ impl SetAssocCache {
     /// Looks up `addr` without changing any state (no LRU update, no fill,
     /// no stats).
     pub fn probe(&self, addr: u64) -> bool {
-        self.slot_in(self.set_base(addr), addr).is_some()
+        self.scan(addr).is_ok()
     }
 
-    /// Accesses `addr`; on a miss the line is filled (write-allocate) and the
-    /// LRU victim, if any, is reported. `is_write` marks the line dirty.
+    /// Accesses `addr`: [`SetAssocCache::lookup_fill`] (write-allocate;
+    /// `is_write` marks the line dirty), also counting a dirty victim in
+    /// [`CacheStats::writebacks`].
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        self.stats.accesses += 1;
-        let base = self.set_base(addr);
-        if let Some(slot) = self.slot_in(base, addr) {
-            self.refresh(slot, is_write);
-            self.stats.hits += 1;
-            return AccessOutcome::Hit;
+        let outcome = self.lookup_fill(addr, is_write);
+        if let AccessOutcome::Miss { evicted: Some(e) } = outcome {
+            self.stats.writebacks += u64::from(e.dirty);
         }
-        self.stats.misses += 1;
-        let slot = self.victim_in(base);
-        let evicted = self.replace(slot, addr, is_write);
-        if evicted.is_some_and(|e| e.dirty) {
-            self.stats.writebacks += 1;
-        }
-        AccessOutcome::Miss { evicted }
+        outcome
     }
 
     /// Looks up `addr`, updating LRU/dirty state and statistics, but does
     /// **not** fill on a miss. Returns `true` on a hit.
-    ///
-    /// Multi-level hierarchies use `lookup` + [`SetAssocCache::fill`] so that
-    /// victims can be propagated between levels explicitly.
     pub fn lookup(&mut self, addr: u64, is_write: bool) -> bool {
-        self.stats.accesses += 1;
-        match self.slot_in(self.set_base(addr), addr) {
-            Some(slot) => {
-                self.refresh(slot, is_write);
-                self.stats.hits += 1;
-                true
-            }
-            None => {
-                self.clock += 1;
-                self.stats.misses += 1;
-                false
-            }
+        self.counted_scan(addr, is_write).is_ok()
+    }
+
+    /// [`SetAssocCache::lookup`] and, on a miss, [`SetAssocCache::fill`]
+    /// from one scan of the set, with the fill's victim in the
+    /// [`AccessOutcome::Miss`]; `dirty` marks the line dirty either way.
+    /// Multi-level hierarchies use it to pass victims between levels.
+    pub fn lookup_fill(&mut self, addr: u64, dirty: bool) -> AccessOutcome {
+        match self.counted_scan(addr, dirty) {
+            Ok(()) => AccessOutcome::Hit,
+            Err(slot) => AccessOutcome::Miss {
+                evicted: self.replace(slot, addr, dirty),
+            },
         }
+    }
+
+    /// [`SetAssocCache::scan`] counted as a lookup: a hit is refreshed,
+    /// ORing in `dirty`; a miss returns its victim's slot untouched.
+    fn counted_scan(&mut self, addr: u64, dirty: bool) -> Result<(), usize> {
+        self.stats.accesses += 1;
+        let slot = self.scan(addr).inspect_err(|_| self.stats.misses += 1)?;
+        self.refresh(slot, dirty);
+        self.stats.hits += 1;
+        Ok(())
     }
 
     /// Invalidates `addr` if present, returning whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let slot = self.slot_in(self.set_base(addr), addr)?;
+        let slot = self.scan(addr).ok()?;
         let old = std::mem::replace(&mut self.stamps[slot], INVALID);
         Some(old & 1 == 1)
     }
@@ -297,7 +289,7 @@ impl SetAssocCache {
     /// from its fill until it is evicted or invalidated, so callers can key
     /// per-line data by slot in a `capacity_lines()`-entry array.
     pub fn find(&self, addr: u64) -> Option<(usize, bool)> {
-        let slot = self.slot_in(self.set_base(addr), addr)?;
+        let slot = self.scan(addr).ok()?;
         Some((slot, self.stamps[slot] & 1 == 1))
     }
 
@@ -315,15 +307,16 @@ impl SetAssocCache {
 
     /// [`SetAssocCache::fill`], also reporting the slot (`set * ways +
     /// way`) the line occupies afterwards: its own slot if it was already
-    /// resident, else the invalid or LRU way the fill took over.
+    /// resident, else the invalid or LRU way the fill took over, found in
+    /// the same scan.
     pub fn fill_slot(&mut self, addr: u64, dirty: bool) -> (usize, Option<Eviction>) {
-        let base = self.set_base(addr);
-        if let Some(slot) = self.slot_in(base, addr) {
-            self.refresh(slot, dirty);
-            return (slot, None);
+        match self.scan(addr) {
+            Ok(slot) => {
+                self.refresh(slot, dirty);
+                (slot, None)
+            }
+            Err(slot) => (slot, self.replace(slot, addr, dirty)),
         }
-        let slot = self.victim_in(base);
-        (slot, self.replace(slot, addr, dirty))
     }
 
     /// Iterates over all resident line addresses (diagnostics only).
@@ -555,7 +548,8 @@ mod tests {
     /// The flat tag/stamp arrays behave exactly like one array of lines
     /// per set with an explicit valid bit, a dirty bit and a last-use time
     /// (the straightforward model): same hits, victims, slots, dirty bits,
-    /// statistics and resident order over a long random mix of operations.
+    /// statistics and resident order over a long random mix of operations,
+    /// `lookup_fill` among them.
     #[test]
     fn flat_arrays_match_per_set_line_model() {
         #[derive(Clone, Copy, Default)]
@@ -639,7 +633,7 @@ mod tests {
             z
         };
         for step in 0..20_000 {
-            let (op, addr, dirty) = (next() % 8, next() % 160, next() % 3 == 0);
+            let (op, addr, dirty) = (next() % 9, next() % 160, next() % 3 == 0);
             let ctx = format!("step {step}: op {op} addr {addr}");
             let set = m.set(addr);
             match op {
@@ -673,6 +667,18 @@ mod tests {
                 3 | 4 => {
                     let (slot, _, evicted) = m.insert(addr, dirty, false);
                     assert_eq!(c.fill_slot(addr, dirty), (slot, evicted), "{ctx}");
+                }
+                8 => {
+                    // `lookup` then, on a miss, `fill`: an `access` that
+                    // counts no write-back.
+                    let (_, hit, evicted) = m.insert(addr, dirty, true);
+                    m.stats.writebacks -= u64::from(evicted.is_some_and(|e| e.dirty));
+                    let want = if hit {
+                        AccessOutcome::Hit
+                    } else {
+                        AccessOutcome::Miss { evicted }
+                    };
+                    assert_eq!(c.lookup_fill(addr, dirty), want, "{ctx}");
                 }
                 5 => {
                     let was = m.way(addr).map(|w| {

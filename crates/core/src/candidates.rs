@@ -15,6 +15,9 @@ pub const HIGH_READ_TRIGGER: u64 = 2_048;
 /// Fraction of high-value reads a new group's start should exceed.
 pub const COVERAGE_REQUIREMENT: f64 = 0.98;
 
+/// Candidates on the ladder: 17 eight apart, then 14 doubling.
+const RUNGS: usize = 17 + 14;
+
 /// Tracks high-value reads against the candidate ladder for one epoch.
 ///
 /// # Examples
@@ -33,9 +36,9 @@ pub const COVERAGE_REQUIREMENT: f64 = 0.98;
 #[derive(Debug, Clone)]
 pub struct HighValueMonitor {
     /// Candidate start values, ascending.
-    thresholds: Vec<u64>,
+    thresholds: [u64; RUNGS],
     /// `counts_below[k]` = high reads with value < `thresholds[k]`.
-    counts_below: Vec<u64>,
+    counts_below: [u64; RUNGS],
     /// Total reads observed above Max-Counter-in-Table this epoch.
     high_reads: u64,
     /// The X the ladder was built from.
@@ -44,13 +47,19 @@ pub struct HighValueMonitor {
 
 impl HighValueMonitor {
     /// Builds the ladder over Max-Counter-in-Table `x`.
+    /// The ladder is held inline, so a reset allocates nothing.
     pub fn new(x: u64) -> Self {
-        let mut thresholds: Vec<u64> = (0..=16u64).map(|i| x + 1 + 8 * i).collect();
-        thresholds.extend((4..=17u64).map(|j| x + 129 + (1 << j)));
-        let n = thresholds.len();
+        let mut thresholds = [0; RUNGS];
+        for (k, t) in (0u64..).zip(thresholds.iter_mut()) {
+            *t = if k <= 16 {
+                x + 1 + 8 * k
+            } else {
+                x + 129 + (1 << (k - 13))
+            };
+        }
         HighValueMonitor {
             thresholds,
-            counts_below: vec![0; n],
+            counts_below: [0; RUNGS],
             high_reads: 0,
             base: x,
         }

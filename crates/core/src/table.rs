@@ -311,11 +311,16 @@ impl MemoizationTable {
             self.stats.misses += 1;
             return LookupResult::Miss;
         }
-        if let Some(g) = self
-            .groups
-            .iter_mut()
-            .find(|g| value >= g.start && value < g.start + size)
-        {
+        // One pass over every live group without an early exit, keeping
+        // the first that holds `value`: `value - start` wraps past `size`
+        // when `value < start`, and no group ends past `COUNTER_MAX`.
+        let mut first = self.groups.len();
+        for (i, g) in self.groups.iter().enumerate().rev() {
+            if value.wrapping_sub(g.start) < size {
+                first = i;
+            }
+        }
+        if let Some(g) = self.groups.get_mut(first) {
             g.use_count += 1;
             self.stats.group_hits += 1;
             return LookupResult::GroupHit;
@@ -640,8 +645,103 @@ mod tests {
         assert_eq!(t.max_counter_in_table(), Some(COUNTER_MAX));
     }
 
+    /// `lookup` as it was before the one-pass group search: an early-exit
+    /// `find` for the first live group holding `value`. The oracle of
+    /// `lookup_matches_the_first_match_find`.
+    fn first_match_lookup(t: &mut MemoizationTable, value: u64) -> LookupResult {
+        let size = t.cfg.group_size;
+        if t.poisoned.remove(&value) {
+            if let Some(pos) = t.mru_values.iter().position(|&v| v == value) {
+                t.mru_values.remove(pos);
+            }
+            t.stats.fallbacks += 1;
+            t.stats.misses += 1;
+            return LookupResult::Miss;
+        }
+        if let Some(g) = t
+            .groups
+            .iter_mut()
+            .find(|g| value >= g.start && value < g.start + size)
+        {
+            g.use_count += 1;
+            t.stats.group_hits += 1;
+            return LookupResult::GroupHit;
+        }
+        if let Some(pos) = t.mru_values.iter().position(|&v| v == value) {
+            t.mru_values.remove(pos);
+            t.mru_values.push_front(value);
+            t.stats.mru_hits += 1;
+            return LookupResult::MruHit;
+        }
+        if let Some(g) = t
+            .evicted
+            .iter_mut()
+            .find(|g| value >= g.start && value < g.start + size)
+        {
+            g.use_count += 1;
+            t.mru_values.push_front(value);
+            t.mru_values.truncate(N_MRU_VALUES);
+            t.stats.mru_harvests += 1;
+        }
+        t.stats.misses += 1;
+        LookupResult::Miss
+    }
+
+    #[test]
+    fn overlapping_groups_credit_the_first_live_one() {
+        let mut t = MemoizationTable::new(TableConfig::paper());
+        t.insert_group(13);
+        t.insert_group(10);
+        assert_eq!(t.lookup(14), LookupResult::GroupHit);
+        let counts: Vec<(u64, u64)> = t.groups().iter().map(|g| (g.start, g.use_count)).collect();
+        assert_eq!(counts, [(13, 2), (10, 1)]);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(500))]
+
+        /// `lookup` against the first-match oracle on random tables whose
+        /// groups overlap and sit clamped at `COUNTER_MAX`, with poisoned
+        /// entries and epoch reselections mixed in: the same result, use
+        /// counts, shadow ring, MRU values and statistics after every step.
+        #[test]
+        fn lookup_matches_the_first_match_find(
+            group_size in 0usize..4,
+            ops in proptest::collection::vec((0u64..10, 0u64..96), 1..300),
+        ) {
+            let size = [1, 4, 8, 16][group_size];
+            let mut t = MemoizationTable::new(TableConfig::with_group_size(size));
+            let mut oracle = t.clone();
+            for (kind, x) in ops {
+                // A third of the values sit at the top of the counter
+                // space, past it included.
+                let top = rmcc_crypto::otp::COUNTER_MAX + 4;
+                let value = if x % 3 == 0 { top - x / 3 } else { x };
+                match kind {
+                    0 | 1 => {
+                        t.insert_group(value);
+                        oracle.insert_group(value);
+                    }
+                    2 => {
+                        t.epoch_reselect(Some(value));
+                        oracle.epoch_reselect(Some(value));
+                    }
+                    3 => proptest::prop_assert_eq!(
+                        t.corrupt_entry(value),
+                        oracle.corrupt_entry(value)
+                    ),
+                    _ => proptest::prop_assert_eq!(
+                        t.lookup(value),
+                        first_match_lookup(&mut oracle, value)
+                    ),
+                }
+                proptest::prop_assert_eq!(&t.groups, &oracle.groups);
+                proptest::prop_assert_eq!(&t.evicted, &oracle.evicted);
+                proptest::prop_assert_eq!(&t.mru_values, &oracle.mru_values);
+                proptest::prop_assert_eq!(&t.poisoned, &oracle.poisoned);
+                proptest::prop_assert_eq!(t.stats, oracle.stats);
+            }
+        }
 
         /// The kept Max-Counter-in-Table equals a scan of the live groups
         /// after every step of a random run of inserts, lookups, epoch

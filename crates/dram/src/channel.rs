@@ -193,7 +193,8 @@ impl Channel {
             map: AddressMapping::new(),
             banks,
             bus_free: 0,
-            outstanding: BinaryHeap::new(),
+            // Never more than `QUEUE_CAPACITY` in flight (see `access`).
+            outstanding: BinaryHeap::with_capacity(QUEUE_CAPACITY),
             stats: DramStats::default(),
         }
     }

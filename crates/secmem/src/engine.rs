@@ -437,7 +437,6 @@ impl std::fmt::Debug for SecureMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SecureMemory")
             .field("org", &self.meta.org())
-            .field("pipeline", &self.pipeline.name())
             .field("written_blocks", &self.data.len())
             .finish_non_exhaustive()
     }

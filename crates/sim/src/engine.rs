@@ -191,7 +191,7 @@ impl CoreEngine {
         };
 
         // Dirty LLC victims go to memory as writebacks (posted).
-        for wb in &outcome.writebacks {
+        for &wb in outcome.writebacks() {
             mc.write(issue, wb << 6);
         }
 

@@ -72,7 +72,8 @@ pub use experiments::{
 pub use lifetime::{run_lifetime, LifetimeReport, LifetimeRunner};
 pub use mc::{LatencyStats, MemoryController};
 pub use meta_engine::{
-    ChainFetch, MemoTally, MetaEngine, MetaStats, ReadOutcome, SideKind, SideRequest, WriteOutcome,
+    ChainFetch, ChainFetches, MemoTally, MetaEngine, MetaStats, ReadOutcome, SideKind, SideRequest,
+    WriteOutcome, MAX_CHAIN_LEVELS,
 };
 pub use multicore::{run_multicore, MultiCoreReport, MultiCoreRunner};
 pub use page_map::{PageMap, PLACEMENT_SEED};

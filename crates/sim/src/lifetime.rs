@@ -171,7 +171,7 @@ impl TraceSink for LifetimeRunner {
             self.llc_misses += 1;
             self.engine.on_read(line << 6);
         }
-        for wb in outcome.writebacks {
+        for &wb in outcome.writebacks() {
             self.llc_writebacks += 1;
             self.engine.on_writeback(wb << 6);
         }

@@ -16,7 +16,7 @@ use rmcc_dram::config::{ns, Ps, T_BURST};
 use crate::config::{
     Scheme, SystemConfig, CLMUL_LATENCY, MAX_OUTSTANDING_OVERFLOWS, TABLE_LOOKUP_LATENCY,
 };
-use crate::meta_engine::{MetaEngine, MetaStats, SideKind, SideRequest};
+use crate::meta_engine::{MetaEngine, MetaStats, SideKind, SideRequest, MAX_CHAIN_LEVELS};
 
 /// Counter-cache access latency (a small SRAM in the MC).
 const COUNTER_CACHE_LAT: Ps = 2_000;
@@ -106,26 +106,28 @@ impl MemoryController {
         }
     }
 
-    /// Issues non-overflow side traffic at `at`; overflow bursts go through
-    /// the paced overflow engine. Returns a stall time the *triggering*
-    /// request must respect when the overflow engine was saturated.
-    fn issue_side(&mut self, at: Ps, side: &[SideRequest]) -> Ps {
-        let mut stall_until = at;
-        let mut overflow_batch: Vec<&SideRequest> = Vec::new();
-        for s in side {
-            match s.kind {
-                SideKind::OverflowL0 | SideKind::OverflowHigher => overflow_batch.push(s),
-                _ => {
-                    let kind = if s.is_write {
-                        ReqKind::Write
-                    } else {
-                        ReqKind::Read
-                    };
-                    self.dram.access(at, s.addr, kind, Self::side_class(s.kind));
-                }
+    /// Issues the engine's non-overflow side traffic at `at`, in order;
+    /// overflow bursts then go through the paced overflow engine. Returns
+    /// a stall time the *triggering* request must respect when the
+    /// overflow engine was saturated.
+    fn issue_side(&mut self, at: Ps) -> Ps {
+        fn is_overflow(s: &SideRequest) -> bool {
+            matches!(s.kind, SideKind::OverflowL0 | SideKind::OverflowHigher)
+        }
+        fn req_kind(s: &SideRequest) -> ReqKind {
+            if s.is_write {
+                ReqKind::Write
+            } else {
+                ReqKind::Read
             }
         }
-        if !overflow_batch.is_empty() {
+        let side = self.engine.side();
+        for s in side.iter().filter(|s| !is_overflow(s)) {
+            self.dram
+                .access(at, s.addr, req_kind(s), Self::side_class(s.kind));
+        }
+        let mut stall_until = at;
+        if side.iter().any(is_overflow) {
             // Admission control: at most `MAX_OUTSTANDING_OVERFLOWS` batches.
             while let Some(&front) = self.overflow_slots.front() {
                 if front <= at {
@@ -142,17 +144,11 @@ impl MemoryController {
             // requests by one burst each.
             let mut t = stall_until;
             let mut last_done = stall_until;
-            for s in &overflow_batch {
-                let kind = if s.is_write {
-                    ReqKind::Write
-                } else {
-                    ReqKind::Read
-                };
-                let done = self
+            for s in side.iter().filter(|s| is_overflow(s)) {
+                last_done = self
                     .dram
-                    .access(t, s.addr, kind, Self::side_class(s.kind))
+                    .access(t, s.addr, req_kind(s), Self::side_class(s.kind))
                     .done;
-                last_done = done;
                 t += T_BURST;
             }
             self.overflow_slots.push_back(last_done);
@@ -164,7 +160,7 @@ impl MemoryController {
     /// decrypted, verified data is ready for the core.
     pub fn read(&mut self, at: Ps, paddr: u64) -> Ps {
         let outcome = self.engine.on_read(paddr);
-        let at = self.issue_side(at, &outcome.side).max(at);
+        let at = self.issue_side(at).max(at);
         let data_done = self
             .dram
             .access(at, paddr, ReqKind::Read, TrafficClass::Data)
@@ -184,21 +180,20 @@ impl MemoryController {
 
         // Fetch every missed chain level in parallel (indices derive from
         // the address alone), innermost first in `outcome.fetches`.
-        let fetch_done: Vec<Ps> = outcome
-            .fetches
-            .iter()
-            .map(|f| {
-                self.dram
-                    .access(at, f.addr, ReqKind::Read, TrafficClass::Counter)
-                    .done
-            })
-            .collect();
+        let mut fetch_done = [0; MAX_CHAIN_LEVELS];
+        for (done, f) in fetch_done.iter_mut().zip(outcome.fetches.iter()) {
+            *done = self
+                .dram
+                .access(at, f.addr, ReqKind::Read, TrafficClass::Counter)
+                .done;
+        }
+        let fetch_done = &fetch_done[..outcome.fetches.len()];
 
         // Resolve verification top-down. `value_ready` starts at the point
         // the deepest *known* counter value is usable: the cache-hit level
         // (or the on-chip root).
         let mut value_ready = at + COUNTER_CACHE_LAT + decode;
-        for (f, &fd) in outcome.fetches.iter().zip(fetch_done.iter()).rev() {
+        for (f, &fd) in outcome.fetches.iter().zip(fetch_done).rev() {
             if self.cfg.speculative_verify {
                 // PoisonIvy-style speculation: consume fetched counters
                 // before their MACs check out; verification runs off the
@@ -233,8 +228,8 @@ impl MemoryController {
     /// no completion time is returned; all traffic is accounted.
     pub fn write(&mut self, at: Ps, paddr: u64) {
         let outcome = self.engine.on_writeback(paddr);
-        let at = self.issue_side(at, &outcome.side).max(at);
-        for f in &outcome.fetches {
+        let at = self.issue_side(at).max(at);
+        for f in outcome.fetches.iter() {
             self.dram
                 .access(at, f.addr, ReqKind::Read, TrafficClass::Counter);
         }

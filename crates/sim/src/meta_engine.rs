@@ -48,7 +48,7 @@ pub struct SideRequest {
 }
 
 /// One level of the verification chain that had to be fetched from memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChainFetch {
     /// The in-memory metadata level (0 = counter blocks).
     pub level: usize,
@@ -60,12 +60,43 @@ pub struct ChainFetch {
     pub verify_memo_hit: bool,
 }
 
-/// What servicing a data read required.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Most in-memory metadata levels one chain walk can fetch: a 64-ary tree
+/// (the narrowest the simulator builds) over all 2^58 blocks of a 64-bit
+/// address space has nine.
+pub const MAX_CHAIN_LEVELS: usize = 9;
+
+/// The chain levels one request fetched, innermost (L0) first, held inline
+/// so that a request allocates nothing. Dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ChainFetches {
+    fetches: [ChainFetch; MAX_CHAIN_LEVELS],
+    len: usize,
+}
+
+impl ChainFetches {
+    /// Appends `f`; a walk fetches at most `depth()` levels, which
+    /// `MetaEngine::new` checks against `MAX_CHAIN_LEVELS`.
+    fn push(&mut self, f: ChainFetch) {
+        self.fetches[self.len] = f;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for ChainFetches {
+    type Target = [ChainFetch];
+
+    fn deref(&self) -> &[ChainFetch] {
+        &self.fetches[..self.len]
+    }
+}
+
+/// What servicing a data read required. Its side traffic is
+/// [`MetaEngine::side`] until the next request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReadOutcome {
     /// Metadata levels fetched from memory, innermost (L0) first. Empty
     /// when the L0 counter block hit in the counter cache.
-    pub fetches: Vec<ChainFetch>,
+    pub fetches: ChainFetches,
     /// The level that terminated the walk with a counter-cache hit;
     /// `None` means the walk reached the on-chip root.
     pub cache_hit_level: Option<usize>,
@@ -74,8 +105,6 @@ pub struct ReadOutcome {
     /// RMCC: the data block's counter value hit the L0 memoization table,
     /// so the data OTP needs only a lookup + carry-less multiply.
     pub l0_memo_hit: bool,
-    /// Side traffic (dirty evictions, read-triggered re-encryptions, …).
-    pub side: Vec<SideRequest>,
 }
 
 impl ReadOutcome {
@@ -86,18 +115,17 @@ impl ReadOutcome {
     }
 }
 
-/// What servicing a dirty-data writeback required.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// What servicing a dirty-data writeback required. Its side traffic is
+/// [`MetaEngine::side`] until the next request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WriteOutcome {
     /// Metadata levels fetched (the counter block must be resident to
     /// update it).
-    pub fetches: Vec<ChainFetch>,
+    pub fetches: ChainFetches,
     /// The counter value the block was encrypted under.
     pub counter_value: u64,
     /// Whether the update releveled the whole counter block.
     pub releveled: bool,
-    /// Side traffic (overflow re-encryption, dirty evictions, …).
-    pub side: Vec<SideRequest>,
 }
 
 /// Per-level memoization lookup tallies, split by counter-cache outcome.
@@ -300,6 +328,13 @@ pub struct MetaEngine {
     meta: Option<MetadataState>,
     rmcc: Option<Rmcc>,
     counter_cache: SetAssocCache,
+    /// Side traffic of the latest request (dirty evictions, overflow
+    /// re-encryptions, read-triggered re-encryptions), reused across
+    /// requests.
+    side: Vec<SideRequest>,
+    /// Dirty counter-cache victims awaiting write-back within one request,
+    /// reused across requests.
+    victims: VecDeque<u64>,
     stats: MetaStats,
     /// Static-model crypto tally; only accumulates while telemetry is on.
     crypto: CryptoStats,
@@ -335,6 +370,12 @@ impl MetaEngine {
             .scheme
             .counter_org()
             .map(|org| MetadataState::new(org, cfg.data_bytes, cfg.counter_init));
+        if let Some(m) = meta.as_ref() {
+            assert!(
+                m.layout().depth() <= MAX_CHAIN_LEVELS,
+                "metadata tree deeper than {MAX_CHAIN_LEVELS} levels"
+            );
+        }
         let rmcc = cfg.scheme.uses_rmcc().then(|| {
             let mut r = Rmcc::new(cfg.rmcc);
             if matches!(
@@ -373,6 +414,8 @@ impl MetaEngine {
                 cfg.counter_cache_lines().max(cfg.counter_cache_ways),
                 cfg.counter_cache_ways,
             ),
+            side: Vec::new(),
+            victims: VecDeque::new(),
             stats: MetaStats::default(),
             crypto: CryptoStats::default(),
             pad_full,
@@ -409,6 +452,12 @@ impl MetaEngine {
     /// The counter state, when the scheme is secure.
     pub fn metadata(&mut self) -> Option<&mut MetadataState> {
         self.meta.as_mut()
+    }
+
+    /// Side traffic of the latest [`MetaEngine::on_read`] or
+    /// [`MetaEngine::on_writeback`], in issue order.
+    pub fn side(&self) -> &[SideRequest] {
+        &self.side
     }
 
     /// Counter-cache statistics.
@@ -594,19 +643,17 @@ impl MetaEngine {
     }
 
     /// Walks the counter cache from level 0 upward until a hit (or the
-    /// root), filling missed levels and returning the fetches plus any side
-    /// traffic from dirty victims. `dirty_l0` marks the L0 access as a
-    /// write (writeback flow).
+    /// root), filling missed levels into `fetches` and adding side traffic
+    /// for dirty victims. `dirty_l0` marks the L0 access as a write
+    /// (writeback flow).
     fn resolve_chain(
         &mut self,
         l0_index: u64,
         dirty_l0: bool,
-        fetches: &mut Vec<ChainFetch>,
-        side: &mut Vec<SideRequest>,
+        fetches: &mut ChainFetches,
     ) -> Option<usize> {
         let meta = self.meta.as_mut().expect("secure scheme");
         let depth = meta.layout().depth();
-        let mut victims = VecDeque::new();
         let mut hit_level = None;
         let mut level = 0;
         let mut index = l0_index;
@@ -622,10 +669,8 @@ impl MetaEngine {
                     break;
                 }
                 rmcc_cache::set_assoc::AccessOutcome::Miss { evicted } => {
-                    if let Some(e) = evicted {
-                        if e.dirty {
-                            victims.push_back(e.addr << 6);
-                        }
+                    if let Some(e) = evicted.filter(|e| e.dirty) {
+                        self.victims.push_back(e.addr << 6);
                     }
                     // Verification of this fetched node needs an OTP from
                     // its protecting counter; check the level-above table.
@@ -654,8 +699,8 @@ impl MetaEngine {
             }
         }
         // Handle dirty victims (and any cascade they cause).
-        while let Some(victim_addr) = victims.pop_front() {
-            self.write_back_node(victim_addr, side, &mut victims);
+        while let Some(victim_addr) = self.victims.pop_front() {
+            self.write_back_node(victim_addr);
         }
         hit_level
     }
@@ -696,17 +741,12 @@ impl MetaEngine {
 
     /// A dirty metadata block leaves the counter cache: write it to memory
     /// and bump its protecting counter, releveling ancestors as needed.
-    fn write_back_node(
-        &mut self,
-        addr: u64,
-        side: &mut Vec<SideRequest>,
-        victims: &mut VecDeque<u64>,
-    ) {
+    fn write_back_node(&mut self, addr: u64) {
         let meta = self.meta.as_mut().expect("secure scheme");
         let Some((level, index)) = meta.layout().locate(addr) else {
             return;
         };
-        side.push(SideRequest {
+        self.side.push(SideRequest {
             addr,
             is_write: true,
             kind: SideKind::CounterWriteback,
@@ -738,7 +778,7 @@ impl MetaEngine {
                 let child_addr = meta
                     .layout()
                     .node_addr(level, child.min(meta.layout().level_count(level) - 1));
-                push_reencrypt(side, child_addr, SideKind::OverflowHigher);
+                push_reencrypt(&mut self.side, child_addr, SideKind::OverflowHigher);
             }
         }
 
@@ -750,7 +790,7 @@ impl MetaEngine {
                 self.counter_cache.access(parent_addr >> 6, true)
             {
                 if e.dirty {
-                    victims.push_back(e.addr << 6);
+                    self.victims.push_back(e.addr << 6);
                 }
             }
         }
@@ -759,6 +799,7 @@ impl MetaEngine {
     /// Services a data-block read (an LLC miss) at physical address `paddr`.
     pub fn on_read(&mut self, paddr: u64) -> ReadOutcome {
         let mut out = ReadOutcome::default();
+        self.side.clear();
         self.stats.data_reads += 1;
         if self.scheme == Scheme::NonSecure {
             self.tick(1);
@@ -772,7 +813,7 @@ impl MetaEngine {
                 meta.layout().l0_slot(data_block),
             )
         };
-        out.cache_hit_level = self.resolve_chain(l0_index, false, &mut out.fetches, &mut out.side);
+        out.cache_hit_level = self.resolve_chain(l0_index, false, &mut out.fetches);
         let counter_missed = out.counter_missed();
         if counter_missed {
             self.stats.counter_misses += 1;
@@ -811,7 +852,7 @@ impl MetaEngine {
                         self.stats.read_triggered_writes += 1;
                         self.stats.rmcc_charged_requests += u.charged_requests;
                         out.counter_value = u.new_value;
-                        out.side.push(SideRequest {
+                        self.side.push(SideRequest {
                             addr: paddr,
                             is_write: true,
                             kind: SideKind::ReadTriggeredReencrypt,
@@ -831,7 +872,7 @@ impl MetaEngine {
             }
         }
         self.stats.counter_fetches += out.fetches.len() as u64;
-        let requests = 1 + out.fetches.len() as u64 + out.side.len() as u64;
+        let requests = 1 + out.fetches.len() as u64 + self.side.len() as u64;
         self.tick(requests);
         out
     }
@@ -839,6 +880,7 @@ impl MetaEngine {
     /// Services a dirty-data writeback at physical address `paddr`.
     pub fn on_writeback(&mut self, paddr: u64) -> WriteOutcome {
         let mut out = WriteOutcome::default();
+        self.side.clear();
         self.stats.data_writes += 1;
         if self.scheme == Scheme::NonSecure {
             self.tick(1);
@@ -853,7 +895,7 @@ impl MetaEngine {
                 meta.org().coverage() as u64,
             )
         };
-        self.resolve_chain(l0_index, true, &mut out.fetches, &mut out.side);
+        self.resolve_chain(l0_index, true, &mut out.fetches);
 
         // Counter update.
         if let (Some(r), Some(meta)) = (self.rmcc.as_mut(), self.meta.as_ref()) {
@@ -868,7 +910,7 @@ impl MetaEngine {
             self.stats.relevels_l0 += 1;
             self.stats.overflow_l0_requests += 2 * coverage;
             for block in l0_index * coverage..(l0_index + 1) * coverage {
-                push_reencrypt(&mut out.side, block * BLOCK_BYTES, SideKind::OverflowL0);
+                push_reencrypt(&mut self.side, block * BLOCK_BYTES, SideKind::OverflowL0);
             }
         }
 
@@ -878,7 +920,7 @@ impl MetaEngine {
             self.note_op_crypto(update.landed_on_memoized, &out.fetches, false);
         }
         self.stats.counter_fetches += out.fetches.len() as u64;
-        let requests = 1 + out.fetches.len() as u64 + out.side.len() as u64;
+        let requests = 1 + out.fetches.len() as u64 + self.side.len() as u64;
         self.tick(requests);
         out
     }
@@ -988,8 +1030,8 @@ mod tests {
         }
         let w = e.on_writeback(0x3000);
         assert!(w.releveled, "128th write overflows the 7-bit minor");
-        let overflow_reqs = w
-            .side
+        let overflow_reqs = e
+            .side()
             .iter()
             .filter(|s| s.kind == SideKind::OverflowL0)
             .count();
@@ -1034,8 +1076,8 @@ mod tests {
             r.counter_value, 50,
             "read-triggered update conformed the counter"
         );
-        assert!(r
-            .side
+        assert!(e
+            .side()
             .iter()
             .any(|s| s.kind == SideKind::ReadTriggeredReencrypt && s.is_write));
         assert_eq!(e.stats().read_triggered_writes, 1);
@@ -1054,9 +1096,8 @@ mod tests {
         e.on_writeback(0);
         let mut saw_writeback = false;
         for i in 1..200u64 {
-            let out = e.on_read(i * 128 * 64 * 7);
-            if out
-                .side
+            e.on_read(i * 128 * 64 * 7);
+            if e.side()
                 .iter()
                 .any(|s| s.kind == SideKind::CounterWriteback)
             {
